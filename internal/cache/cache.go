@@ -118,6 +118,7 @@ func (c *Cache) slot(set, way int) *line { return &c.lines[set*c.cfg.Ways+way] }
 // Lookup accesses the cache. On a hit it updates recency (and the dirty bit
 // for writes) and returns true. On a miss it returns false and changes
 // nothing; the caller decides whether and when to Fill.
+//
 //moca:hotpath
 func (c *Cache) Lookup(addr uint64, write bool) bool {
 	c.stats.Accesses++
@@ -139,6 +140,7 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 }
 
 // Probe reports whether addr is present without perturbing state or stats.
+//
 //moca:hotpath
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
@@ -161,6 +163,7 @@ type Victim struct {
 // Fill inserts the line containing addr, evicting the LRU way if the set is
 // full, and returns the displaced line (if any). If the line is already
 // present, Fill only updates recency/dirtiness.
+//
 //moca:hotpath
 func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 	set, tag := c.index(addr)
@@ -204,6 +207,7 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 
 // Invalidate removes the line containing addr and reports whether the
 // removed copy was dirty (for inclusive back-invalidation flushes).
+//
 //moca:hotpath
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	set, tag := c.index(addr)
@@ -220,6 +224,7 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 
 // SetDirty marks an already-present line dirty (used when a dirty L1 line
 // is written back into L2 on eviction). Reports whether the line was found.
+//
 //moca:hotpath
 func (c *Cache) SetDirty(addr uint64) bool {
 	set, tag := c.index(addr)

@@ -111,8 +111,8 @@ type Hierarchy struct {
 	l1      *Cache
 	l2      *Cache
 
-	mshrs    *mshrIndex    // line address → in-flight entry, fixed size
-	freeMSHR []*mshrEntry  // entry pool; recycled on fill
+	mshrs    *mshrIndex   // line address → in-flight entry, fixed size
+	freeMSHR []*mshrEntry // entry pool; recycled on fill
 	// Misses stalled on a full MSHR file, split by op so read-priority
 	// admission (first read in arrival order, else oldest write) is O(1)
 	// instead of a scan past every queued write. Head indices mark the
@@ -121,8 +121,8 @@ type Hierarchy struct {
 	waitRHead int
 	waitW     []pendingMiss
 	waitWHead int
-	wbQ      []uint64      // writebacks awaiting backend acceptance
-	subQ     []*mshrEntry  // fetches awaiting backend acceptance (FIFO, deterministic)
+	wbQ       []uint64     // writebacks awaiting backend acceptance
+	subQ      []*mshrEntry // fetches awaiting backend acceptance (FIFO, deterministic)
 
 	stats      HierStats
 	pf         *prefetcher // nil unless enabled
@@ -238,6 +238,7 @@ const (
 )
 
 // OnEvent dispatches the hierarchy's pooled events (event.Handler).
+//
 //moca:hotpath
 func (h *Hierarchy) OnEvent(now event.Time, op int32, i64 int64, p any) {
 	switch op {
@@ -256,6 +257,7 @@ func (h *Hierarchy) OnEvent(now event.Time, op int32, i64 int64, p any) {
 
 // MemDone receives line completions from the backend (mem.DoneSink); the
 // token is the line address, which names the MSHR entry.
+//
 //moca:hotpath
 func (h *Hierarchy) MemDone(token uint64, at event.Time) {
 	if e := h.mshrs.lookup(token); e != nil {
@@ -283,6 +285,7 @@ func (h *Hierarchy) putMSHR(e *mshrEntry) {
 // address on behalf of memory object obj. sink, if non-nil, receives the
 // completion (with the given token) and the level that satisfied it. Stores
 // are posted: callers typically pass sink=nil and never stall on them.
+//
 //moca:hotpath
 func (h *Hierarchy) Access(addr uint64, obj uint64, write bool, sink AccessSink, token uint64) {
 	lineAddr := LineAddr(addr)
@@ -336,6 +339,7 @@ func (h *Hierarchy) Access(addr uint64, obj uint64, write bool, sink AccessSink,
 // identical slow-path tail and reports inline=false, with the completion
 // delivered through sink as usual. Callers that later need the completion
 // callback after all (a dependent load) rematerialize it with Promote.
+//
 //moca:hotpath
 func (h *Hierarchy) AccessLoad(addr uint64, obj uint64, sink AccessSink, token uint64) (readyAt event.Time, ord uint64, level Level, inline bool) {
 	lineAddr := LineAddr(addr)
@@ -367,6 +371,7 @@ func (h *Hierarchy) AccessLoad(addr uint64, obj uint64, sink AccessSink, token u
 // Promote converts an inline-serviced hit back into a real delivery event
 // in its original event-order slot (see AccessLoad): the sink's AccessDone
 // then fires at exactly the time and position the slow path would have.
+//
 //moca:hotpath
 func (h *Hierarchy) Promote(at event.Time, ord uint64, level Level, sink AccessSink, token uint64) {
 	op := hopDeliverL1
@@ -378,6 +383,7 @@ func (h *Hierarchy) Promote(at event.Time, ord uint64, level Level, sink AccessS
 
 // missPath is the LLC-miss tail shared by Access and AccessLoad: merge into
 // an in-flight MSHR, stall on a full file, or allocate.
+//
 //moca:hotpath
 func (h *Hierarchy) missPath(lineAddr, obj uint64, write bool, sink AccessSink, token uint64) {
 	if e := h.mshrs.lookup(lineAddr); e != nil {
@@ -421,6 +427,7 @@ func (h *Hierarchy) missPath(lineAddr, obj uint64, write bool, sink AccessSink, 
 // occupy the last few MSHRs, so demand loads are never starved by a burst
 // of posted stores (the read-over-write priority every real memory system
 // applies).
+//
 //moca:hotpath
 func (h *Hierarchy) mshrLimit(write bool) int {
 	limit := h.cfg.L2.MSHRs
@@ -491,6 +498,7 @@ func (h *Hierarchy) pumpSubmissions() {
 // issuePrefetch speculatively fetches a line into the L2. Prefetches never
 // queue: they are dropped when the line is resident or in flight, or when
 // the MSHR file lacks spare capacity beyond a small demand reserve.
+//
 //moca:hotpath
 func (h *Hierarchy) issuePrefetch(lineAddr uint64, obj uint64) {
 	if h.l2.Probe(lineAddr) || h.l1.Probe(lineAddr) {
@@ -512,6 +520,7 @@ func (h *Hierarchy) issuePrefetch(lineAddr uint64, obj uint64) {
 
 // onFill handles a returning memory line: fill L2 then L1 (maintaining
 // inclusion), wake waiters, free the MSHR, and admit stalled misses.
+//
 //moca:hotpath
 func (h *Hierarchy) onFill(e *mshrEntry, at event.Time) {
 	if v := h.l2.Fill(e.lineAddr, false); v.Valid {
@@ -549,6 +558,7 @@ func (h *Hierarchy) onFill(e *mshrEntry, at event.Time) {
 // admitWaiting admits misses stalled on the MSHR file, loads before stores
 // (read priority). A stalled miss may target a line that just became
 // present or in-flight again; re-run the full access path.
+//
 //moca:hotpath
 func (h *Hierarchy) admitWaiting() {
 	for {
@@ -582,6 +592,7 @@ func (h *Hierarchy) admitWaiting() {
 
 // reAccess re-executes a previously stalled miss without recounting cache
 // lookup stats (the miss was already counted when it first accessed).
+//
 //moca:hotpath
 func (h *Hierarchy) reAccess(m pendingMiss) {
 	if h.l2.Probe(m.lineAddr) {
@@ -607,6 +618,7 @@ func (h *Hierarchy) reAccess(m pendingMiss) {
 
 // fillL1 inserts a line into L1; a displaced dirty line merges into its L2
 // copy (guaranteed present by inclusion).
+//
 //moca:hotpath
 func (h *Hierarchy) fillL1(lineAddr uint64, dirty bool) {
 	if v := h.l1.Fill(lineAddr, dirty); v.Valid && v.Dirty {
@@ -659,6 +671,7 @@ func (h *Hierarchy) InvalidateLine(lineAddr uint64) (present, dirty bool) {
 }
 
 // armRetry schedules a pump of backpressured work a few cycles out.
+//
 //moca:hotpath
 func (h *Hierarchy) armRetry() {
 	if h.retryArmed {

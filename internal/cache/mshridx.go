@@ -31,16 +31,19 @@ func newMSHRIndex(budget int) *mshrIndex {
 
 // hash spreads the line address (low 6 bits are always zero) with a
 // Fibonacci multiplicative hash, keeping the top bits.
+//
 //moca:hotpath
 func (ix *mshrIndex) hash(lineAddr uint64) int {
 	return int((lineAddr * 0x9E3779B97F4A7C15) >> ix.shift)
 }
 
 // len returns the number of indexed in-flight lines.
+//
 //moca:hotpath
 func (ix *mshrIndex) len() int { return ix.n }
 
 // lookup returns the entry for lineAddr, or nil when not in flight.
+//
 //moca:hotpath
 func (ix *mshrIndex) lookup(lineAddr uint64) *mshrEntry {
 	mask := len(ix.addrs) - 1
@@ -54,6 +57,7 @@ func (ix *mshrIndex) lookup(lineAddr uint64) *mshrEntry {
 
 // insert adds a mapping. The caller guarantees lineAddr is absent and the
 // MSHR budget (hence the table's load bound) is respected.
+//
 //moca:hotpath
 func (ix *mshrIndex) insert(lineAddr uint64, e *mshrEntry) {
 	mask := len(ix.addrs) - 1
@@ -68,6 +72,7 @@ func (ix *mshrIndex) insert(lineAddr uint64, e *mshrEntry) {
 
 // remove deletes a mapping, compacting the probe chain by shifting back
 // any displaced entries (Knuth 6.4 R): no tombstones are left behind.
+//
 //moca:hotpath
 func (ix *mshrIndex) remove(lineAddr uint64) {
 	mask := len(ix.addrs) - 1

@@ -97,6 +97,7 @@ func newPrefetcher(cfg PrefetchConfig) *prefetcher {
 
 // observe updates stride detection with a demand access and returns the
 // line addresses to prefetch (nil most of the time).
+//
 //moca:hotpath
 func (p *prefetcher) observe(obj uint64, lineAddr uint64) []uint64 {
 	e := p.lookup(obj)
@@ -153,6 +154,7 @@ func (p *prefetcher) lookup(obj uint64) *strideEntry {
 }
 
 // markPrefetched records a line the prefetcher filled.
+//
 //moca:hotpath
 func (p *prefetcher) markPrefetched(lineAddr uint64) {
 	if p.prefetched.insert(lineAddr) {
@@ -161,6 +163,7 @@ func (p *prefetcher) markPrefetched(lineAddr uint64) {
 }
 
 // demandTouch accounts a demand access to a possibly-prefetched line.
+//
 //moca:hotpath
 func (p *prefetcher) demandTouch(lineAddr uint64) {
 	if p.prefetched.remove(lineAddr) {
@@ -169,6 +172,7 @@ func (p *prefetcher) demandTouch(lineAddr uint64) {
 }
 
 // evicted forgets a line that left the cache before being used.
+//
 //moca:hotpath
 func (p *prefetcher) evicted(lineAddr uint64) {
 	p.prefetched.remove(lineAddr)
@@ -210,6 +214,7 @@ func (f *pfFilter) hash(addr uint64) int {
 
 // insert adds a mark, evicting the clock-hand victim when at capacity.
 // Reports whether an eviction happened.
+//
 //moca:hotpath
 func (f *pfFilter) insert(addr uint64) (evicted bool) {
 	mask := len(f.slots) - 1
@@ -236,6 +241,7 @@ func (f *pfFilter) insert(addr uint64) (evicted bool) {
 }
 
 // evictClock removes the first live mark at or after the hand.
+//
 //moca:hotpath
 func (f *pfFilter) evictClock() {
 	mask := len(f.slots) - 1
@@ -249,6 +255,7 @@ func (f *pfFilter) evictClock() {
 
 // remove deletes a mark, reporting whether it was present. The probe
 // chain is compacted by shifting back displaced entries (Knuth 6.4 R).
+//
 //moca:hotpath
 func (f *pfFilter) remove(addr uint64) bool {
 	mask := len(f.slots) - 1

@@ -243,11 +243,11 @@ func New(id int, cfg Config, stream Stream, xlate Translator, mem MemPort) (*Cor
 		return nil, fmt.Errorf("cpu: nil stream, translator, or memory port")
 	}
 	c := &Core{
-		ID:     id,
-		cfg:    cfg,
-		stream: stream,
-		xlate:  xlate,
-		mem:    mem,
+		ID:       id,
+		cfg:      cfg,
+		stream:   stream,
+		xlate:    xlate,
+		mem:      mem,
 		rob:      make([]robEntry, cfg.ROBSize),
 		lastLoad: -1,
 	}
@@ -317,6 +317,7 @@ func (c *Core) TickAt(now event.Time) {
 // its completion time — exactly the cycle the slow path's delivery event
 // would have been observed by retire. No-op with the fast path off (inline
 // is never set).
+//
 //moca:hotpath
 func (c *Core) settle(e *robEntry) {
 	if e.inline && e.readyAt <= c.now {
@@ -405,6 +406,7 @@ func (c *Core) dispatch() {
 
 // maybeIssueLoad issues the load at ROB index idx unless it depends on an
 // earlier, still-incomplete load (pointer chasing).
+//
 //moca:hotpath
 func (c *Core) maybeIssueLoad(idx int) {
 	e := &c.rob[idx]
@@ -451,6 +453,7 @@ func (c *Core) maybeIssueLoad(idx int) {
 
 // promote converts the inline-serviced load at idx back into a real
 // delivery event in its original event-order slot.
+//
 //moca:hotpath
 func (c *Core) promote(idx int, e *robEntry) {
 	c.fast.Promote(e.readyAt, e.virtOrd, e.level, c, uint64(idx))
@@ -460,6 +463,7 @@ func (c *Core) promote(idx int, e *robEntry) {
 // nextDependentWaiting reports whether the next younger load is an unissued
 // dependent of the load at idx (mirrors wakeDependents' scan: only the
 // immediately next load can depend on idx).
+//
 //moca:hotpath
 func (c *Core) nextDependentWaiting(idx int) bool {
 	i := idx + 1
@@ -497,6 +501,7 @@ func (c *Core) nextDependentWaiting(idx int) bool {
 // cycle. Memory instructions, stream refills, and everything else fall back
 // to per-cycle Ticks. Returns the number of cycles advanced; stats are
 // byte-identical to the same cycles executed through Tick.
+//
 //moca:hotpath
 func (c *Core) FastForward(now, end event.Time, budget uint64) (cycles int, retired uint64) {
 	n := 0
@@ -551,6 +556,7 @@ func (c *Core) FastForward(now, end event.Time, budget uint64) (cycles int, reti
 // retire+dispatchComputes alone (see FastForward). It never touches the
 // stream: peeking could end it a cycle early and diverge from the slow
 // path.
+//
 //moca:hotpath
 func (c *Core) batchable(now event.Time) bool {
 	if c.fb.valid && c.fb.in.Kind == Compute && int(c.fb.in.N) >= c.cfg.Width {
@@ -566,6 +572,7 @@ func (c *Core) batchable(now event.Time) bool {
 // dispatchComputes is dispatch restricted to the batchable cases: it drains
 // compute instructions from the fetch buffer (never refilling it) and
 // accounts ROB-full stalls, exactly as dispatch would.
+//
 //moca:hotpath
 func (c *Core) dispatchComputes() {
 	for i := 0; i < c.cfg.Width; i++ {

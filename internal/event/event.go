@@ -163,6 +163,7 @@ func (q *Queue) releaseRec(i int32) {
 // Post enqueues a pooled event for Handler h at the given absolute time.
 // Scheduling in the past is a simulator bug; it panics rather than silently
 // reordering time. Post performs no allocation when p is pointer-shaped.
+//
 //moca:hotpath
 func (q *Queue) Post(at Time, h Handler, op int32, i64 int64, p any) {
 	if at < q.now {
@@ -188,6 +189,7 @@ func (q *Queue) Post(at Time, h Handler, op int32, i64 int64, p any) {
 // scheduled/executed counters and depth watermarks stay byte-identical to a
 // run where the completion was a real event. The returned ord names the
 // slot for PromoteVirtual.
+//
 //moca:hotpath
 func (q *Queue) PostVirtual(at Time) uint64 {
 	if at < q.now {
@@ -217,6 +219,7 @@ func (q *Queue) PostVirtual(at Time) uint64 {
 // needs the completion callback after all. It was already counted as
 // scheduled by PostVirtual, so no counters move here. Panics on an unknown
 // ord (a promote after expiry is a simulator bug).
+//
 //moca:hotpath
 func (q *Queue) PromoteVirtual(at Time, ord uint64, h Handler, op int32, i64 int64, p any) {
 	if at < q.now {
@@ -253,6 +256,7 @@ func virtLess(a, b virtRec) bool {
 // slow path would have run before the real event r: earlier timestamp, or
 // the same timestamp with r a wake (normal events sort before wakes) or an
 // earlier order slot — the exact less() ordering.
+//
 //moca:hotpath
 func (q *Queue) expireBefore(r *rec) {
 	for len(q.virt) > 0 {
@@ -276,6 +280,7 @@ func (q *Queue) expireOne() {
 }
 
 // PostAfter enqueues a pooled event delay picoseconds after the current time.
+//
 //moca:hotpath
 func (q *Queue) PostAfter(delay Time, h Handler, op int32, i64 int64, p any) {
 	q.Post(q.now+delay, h, op, i64, p)
@@ -300,6 +305,7 @@ func (q *Queue) After(delay Time, fn Func) { q.Schedule(q.now+delay, fn) }
 //     polled event would have been scheduled (at minus one device clock,
 //     floored at the chain's arming time);
 //   - they can be pulled earlier in place through the returned Handle.
+//
 //moca:hotpath
 func (q *Queue) ScheduleWake(at, s Time, h Handler, op int32) Handle {
 	if at < q.now {
@@ -319,6 +325,7 @@ func (q *Queue) ScheduleWake(at, s Time, h Handler, op int32) Handle {
 
 // RescheduleWake moves a pending wake to a new time, keeping its arming
 // order. It panics if the handle's wake already fired (stale handle).
+//
 //moca:hotpath
 func (q *Queue) RescheduleWake(hd Handle, at, s Time) {
 	if at < q.now {
@@ -341,6 +348,7 @@ func (q *Queue) RescheduleWake(hd Handle, at, s Time) {
 // Credit accounts for virtual events: device-clock ticks a component proved
 // it could skip. They count exactly as if they had been scheduled and
 // executed, keeping the observability counters identical to a polling model.
+//
 //moca:hotpath
 func (q *Queue) Credit(scheduled, executed uint64) {
 	q.runs += executed
@@ -355,6 +363,7 @@ func (q *Queue) Credit(scheduled, executed uint64) {
 // excluded: they carry no handler, so nothing needs to stop for them — the
 // fast path uses NextTime to bound compute batches by the next event that
 // can actually change state.
+//
 //moca:hotpath
 func (q *Queue) NextTime() (Time, bool) {
 	if len(q.heap) == 0 {
@@ -365,6 +374,7 @@ func (q *Queue) NextTime() (Time, bool) {
 
 // RunOne executes the earliest pending event, advancing Now to its
 // timestamp. It reports whether an event was executed.
+//
 //moca:hotpath
 func (q *Queue) RunOne() bool {
 	if len(q.heap) == 0 {
@@ -484,6 +494,7 @@ func (q *Queue) Drain() int {
 
 // less orders the heap: time first, then normal events before wakes, then
 // FIFO by schedule order (wakes: virtual schedule time, then arming order).
+//
 //moca:hotpath
 func (q *Queue) less(a, b int32) bool {
 	ra, rb := &q.pool[a], &q.pool[b]
@@ -531,6 +542,7 @@ func (q *Queue) popMin() {
 
 // up sifts the element at heap position i toward the root; it reports
 // whether the element moved.
+//
 //moca:hotpath
 func (q *Queue) up(i int) bool {
 	moved := false

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
 	"moca/internal/classify"
+	"moca/internal/sim"
 	"moca/internal/workload"
 )
 
@@ -244,6 +246,55 @@ func TestRunCaching(t *testing.T) {
 	}
 }
 
+// TestConfigVariantsDoNotShareMemo: SystemByName gives moca, moca@config1
+// and moca@config2 the same Name. The runner must still key them apart by
+// configuration: moca@config1 is moca, moca@config2 is not.
+func TestConfigVariantsDoNotShareMemo(t *testing.T) {
+	r := fastRunner()
+	run := func(r *Runner, system string) *sim.Result {
+		t.Helper()
+		def, err := SystemByName(system)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.RunSingle(def, "sift")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base, cfg1, cfg2 := run(r, "moca"), run(r, "moca@config1"), run(r, "moca@config2")
+	if cfg1 != base {
+		t.Error("moca@config1 did not hit moca's memo entry")
+	}
+	if cfg2 == base {
+		t.Fatal("moca@config2 was answered with moca's result")
+	}
+	if st := r.Stats(); st.Simulated != 2 {
+		t.Errorf("Simulated = %d, want 2 (moca and moca@config2)", st.Simulated)
+	}
+	if cfg2.Name != "moca" {
+		t.Errorf("Result.Name = %q, want the simulator config name moca", cfg2.Name)
+	}
+	got, err := cfg2.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := run(fastRunner(), "moca@config2").MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("moca@config2 after moca differs from moca@config2 on a fresh runner")
+	}
+	keys := r.Results()
+	for _, k := range []string{"moca|single/sift", "moca@config2|single/sift"} {
+		if keys[k] == nil {
+			t.Errorf("Results has no %q", k)
+		}
+	}
+}
+
 func TestMixRun(t *testing.T) {
 	skipHeavy(t, "4-core run")
 	r := fastRunner()
@@ -456,24 +507,83 @@ func TestExtensionPhases(t *testing.T) {
 
 func TestParallelismMatchesSerial(t *testing.T) {
 	skipHeavy(t, "repeated runs")
-	// The runner's bounded parallelism must not change any result:
-	// simulations are independent and individually deterministic.
-	run := func(par int) float64 {
+	// The runner's bounded parallelism must not change any profile or
+	// result: profiling runs and simulations are independent and
+	// individually deterministic. Both warm paths profile in parallel.
+	apps := []string{"sift", "gcc"}
+	mixes := workload.Mixes()[:2]
+	newRunner := func(par int) *Runner {
 		r := NewRunner()
-		r.Measure = 50_000
+		r.Measure = 30_000
 		r.FW.ProfileWindow = 80_000
 		r.Parallelism = par
-		defs := StandardSystems()[:2]
-		if err := r.warmSingles(defs, []string{"sift", "gcc"}); err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.RunSingle(defs[0], "sift")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return float64(res.AvgMemAccessTime())
+		return r
 	}
-	if a, b := run(1), run(8); a != b {
-		t.Errorf("parallel (%v) and serial (%v) runs diverged", b, a)
+	sweep := func(par int) (profiles, results map[string]string) {
+		r := newRunner(par)
+		if err := r.warmSingles(StandardSystems()[:2], apps); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.warmMixes(StandardSystems()[5:], mixes); err != nil {
+			t.Fatal(err)
+		}
+		profiles, results = map[string]string{}, map[string]string{}
+		r.mu.Lock()
+		for app, ins := range r.instr {
+			data, err := json.Marshal(ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			profiles[app] = string(data)
+		}
+		r.mu.Unlock()
+		for key, res := range r.Results() {
+			data, err := res.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[key] = string(data)
+		}
+		return profiles, results
+	}
+	serialP, serialR := sweep(1)
+	parP, parR := sweep(8)
+	for _, c := range []struct {
+		what          string
+		serial, paral map[string]string
+	}{{"Instrumentation", serialP, parP}, {"Result", serialR, parR}} {
+		if len(c.serial) != len(c.paral) {
+			t.Errorf("%d %ss at Parallelism 1, %d at 8", len(c.serial), c.what, len(c.paral))
+		}
+		for key, want := range c.serial {
+			if got, ok := c.paral[key]; !ok || got != want {
+				t.Errorf("%s %s differs between Parallelism 1 and 8", c.what, key)
+			}
+		}
+	}
+
+	// An unknown app fails both warm paths with the same first error at
+	// either bound: the first failing app in list order.
+	bad := workload.Mix{Name: "bad", Apps: []string{"sift", "nope", "gcc", "bogus"}}
+	firstErrs := func(par int) [2]string {
+		r := newRunner(par)
+		var out [2]string
+		for i, err := range []error{
+			r.warmSingles(StandardSystems()[:1], bad.Apps),
+			r.warmMixes(StandardSystems()[:1], []workload.Mix{bad}),
+		} {
+			if err == nil {
+				t.Fatalf("Parallelism %d: warm path %d accepted unknown apps", par, i)
+			}
+			out[i] = err.Error()
+		}
+		return out
+	}
+	serialE, parE := firstErrs(1), firstErrs(8)
+	for i := range serialE {
+		if serialE[i] != parE[i] || !strings.Contains(serialE[i], `"nope"`) {
+			t.Errorf("warm path %d: first error %q at Parallelism 1, %q at 8; want the error for \"nope\"",
+				i, serialE[i], parE[i])
+		}
 	}
 }

@@ -21,12 +21,14 @@ type AppPoint struct {
 // Fig1 reproduces Fig. 1: application-level L2 MPKI vs. ROB-head stall
 // cycles per load miss for the whole suite, from training-input profiling.
 func (r *Runner) Fig1() ([]AppPoint, *stats.Table, error) {
+	names := workload.Names()
+	all, err := r.profile(names)
+	if err != nil {
+		return nil, nil, err
+	}
 	var pts []AppPoint
-	for _, name := range workload.Names() {
-		ins, err := r.Instrument(name)
-		if err != nil {
-			return nil, nil, err
-		}
+	for i, name := range names {
+		ins := all[i]
 		m := ins.Profile.AppMetrics()
 		pts = append(pts, AppPoint{App: name, MPKI: m.MPKI, Stall: m.StallPerMiss, Class: ins.AppClass})
 	}
@@ -54,13 +56,13 @@ func (r *Runner) Fig2(apps ...string) ([]ObjPoint, *stats.Table, error) {
 	if len(apps) == 0 {
 		apps = workload.Names()
 	}
+	all, err := r.profile(apps)
+	if err != nil {
+		return nil, nil, err
+	}
 	var pts []ObjPoint
-	for _, name := range apps {
-		ins, err := r.Instrument(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, o := range ins.Profile.HeapObjects() {
+	for i, name := range apps {
+		for _, o := range all[i].Profile.HeapObjects() {
 			pts = append(pts, ObjPoint{
 				App: name, Label: o.Label, MPKI: o.MPKI, Stall: o.StallPerMiss,
 				Size: o.SizeBytes, Class: o.Class,
@@ -328,14 +330,15 @@ type SegPoint struct {
 // Fig16 reproduces Fig. 16: L2 MPKI of the stack and code segments for the
 // whole suite, justifying their LPDDR placement (Section VI-D).
 func (r *Runner) Fig16() ([]SegPoint, *stats.Table, error) {
+	names := workload.Names()
+	all, err := r.profile(names)
+	if err != nil {
+		return nil, nil, err
+	}
 	var pts []SegPoint
-	for _, name := range workload.Names() {
-		ins, err := r.Instrument(name)
-		if err != nil {
-			return nil, nil, err
-		}
+	for i, name := range names {
 		p := SegPoint{App: name}
-		for _, o := range ins.Profile.Objects {
+		for _, o := range all[i].Profile.Objects {
 			switch o.Label {
 			case "stack":
 				p.StackMPKI = o.MPKI

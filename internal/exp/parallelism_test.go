@@ -13,9 +13,9 @@ import (
 // exactly the CI-thrashing regression this guards against.
 func TestEffectiveParallelism(t *testing.T) {
 	cases := []struct {
-		name                       string
+		name                        string
 		parallelism, shards, numCPU int
-		want                       int
+		want                        int
 	}{
 		{"default-serial", 0, 0, 8, 8},
 		{"default-serial-one", 0, 1, 8, 8},

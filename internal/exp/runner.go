@@ -26,7 +26,17 @@ type SystemDef struct {
 	Modules []sim.ModuleSpec
 	Policy  sim.PolicyKind
 	Chains  map[classify.Class][]mem.Kind // nil = paper defaults
+	// Variant tells apart defs that share Name but not configuration:
+	// SystemByName sets it to the "@config2"/"@config3" capacity suffix.
+	// It is part of ID, not of Name, so Result.Name stays the simulator
+	// config name.
+	Variant string
 }
+
+// ID names the def in the Runner's memo, its Results keys and its
+// progress ticks: Name followed by Variant. Two defs with the same ID must
+// simulate the same system.
+func (d SystemDef) ID() string { return d.Name + d.Variant }
 
 // The six systems of Figs. 8-13, in the paper's presentation order.
 const (
@@ -112,9 +122,9 @@ type Runner struct {
 	FW *core.Framework
 	// Measure is the measured instruction quota per core per run.
 	Measure uint64
-	// Parallelism bounds concurrent simulations. Zero derives a default
-	// from NumCPU and Shards so runs x shards never oversubscribes the
-	// machine (see effectiveParallelism).
+	// Parallelism bounds concurrent simulations and profiling runs. Zero
+	// derives a default from NumCPU and Shards so runs x shards never
+	// oversubscribes the machine (see effectiveParallelism).
 	Parallelism int
 	// Shards is the worker-goroutine count of each simulation (sim.Config
 	// Shards; <= 1: serial). Excluded from cache keys: results are
@@ -297,7 +307,7 @@ func (r *Runner) RunMixCtx(ctx context.Context, def SystemDef, mix workload.Mix)
 // ctx.Err() and detaches without disturbing the flight, and only the last
 // departing waiter cancels the shared simulation.
 func (r *Runner) run(ctx context.Context, def SystemDef, key string, apps []string) (*sim.Result, error) {
-	memoKey := def.Name + "|" + key
+	memoKey := def.ID() + "|" + key
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -351,7 +361,7 @@ func (r *Runner) run(ctx context.Context, def SystemDef, key string, apps []stri
 func (r *Runner) lead(fctx context.Context, f *flight, def SystemDef, memoKey, key string, apps []string) {
 	res, err := r.simulate(fctx, def, memoKey, apps)
 	if err != nil {
-		err = fmt.Errorf("exp: %s on %s: %w", key, def.Name, err)
+		err = fmt.Errorf("exp: %s on %s: %w", key, def.ID(), err)
 	}
 	r.mu.Lock()
 	f.res, f.err = res, err
@@ -451,7 +461,8 @@ func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, ap
 }
 
 // Results returns a copy of the result cache, keyed "system|single/app"
-// or "system|mix/name" (the metrics reporters aggregate these per system).
+// or "system|mix/name", where system is the def's ID (the metrics
+// reporters aggregate these per system).
 func (r *Runner) Results() map[string]*sim.Result {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -530,17 +541,37 @@ func (r *Runner) parallel(ctx context.Context, tasks []func() error) error {
 	return nil
 }
 
-// warmAll pre-executes the cross product of systems and workloads in
-// parallel so subsequent sequential reads hit the cache.
-func (r *Runner) warmSingles(systems []SystemDef, apps []string) error {
+// profile instruments the apps through the runner's bounded parallelism
+// and returns their instrumentation in list order. Each app goes through
+// the singleflight InstrumentCtx, so a duplicate or concurrently requested
+// app is profiled once. On failure it returns the error of the first
+// failing app in list order, the one a serial loop would have stopped at.
+func (r *Runner) profile(apps []string) ([]core.Instrumentation, error) {
 	ctx := r.context()
-	var tasks []func() error
-	// Profile serially first: instrumentation is shared across systems.
-	for _, app := range apps {
-		if _, err := r.Instrument(app); err != nil {
+	out := make([]core.Instrumentation, len(apps))
+	tasks := make([]func() error, len(apps))
+	for i, app := range apps {
+		i, app := i, app
+		tasks[i] = func() (err error) {
+			out[i], err = r.InstrumentCtx(ctx, app)
 			return err
 		}
 	}
+	if err := r.parallel(ctx, tasks); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// warmSingles pre-executes the cross product of systems and apps in
+// parallel so subsequent sequential reads hit the cache.
+func (r *Runner) warmSingles(systems []SystemDef, apps []string) error {
+	ctx := r.context()
+	// Profile first: instrumentation is shared across systems.
+	if _, err := r.profile(apps); err != nil {
+		return err
+	}
+	var tasks []func() error
 	for _, def := range systems {
 		for _, app := range apps {
 			def, app := def, app
@@ -555,18 +586,20 @@ func (r *Runner) warmSingles(systems []SystemDef, apps []string) error {
 
 func (r *Runner) warmMixes(systems []SystemDef, mixes []workload.Mix) error {
 	ctx := r.context()
-	appSet := map[string]bool{}
+	// Apps in first-appearance order, so the first profiling error is the
+	// same on every run.
+	var apps []string
+	seen := map[string]bool{}
 	for _, m := range mixes {
 		for _, a := range m.Apps {
-			appSet[a] = true
+			if !seen[a] {
+				seen[a] = true
+				apps = append(apps, a)
+			}
 		}
 	}
-	for app := range appSet {
-		// Serial profiling below is deterministic per app; order across
-		// apps does not matter because each profile is independent.
-		if _, err := r.Instrument(app); err != nil {
-			return err
-		}
+	if _, err := r.profile(apps); err != nil {
+		return err
 	}
 	var tasks []func() error
 	for _, def := range systems {

@@ -70,11 +70,13 @@ func (r *Runner) Table3() (map[string]classify.Class, *stats.Table, error) {
 	got := map[string]classify.Class{}
 	t := stats.NewTable("Table III: benchmark classification", "app", "measured", "paper")
 	want := Table3Expected()
-	for _, name := range workload.Names() {
-		ins, err := r.Instrument(name)
-		if err != nil {
-			return nil, nil, err
-		}
+	names := workload.Names()
+	all, err := r.profile(names)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, name := range names {
+		ins := all[i]
 		got[name] = ins.AppClass
 		t.AddRow(name, ins.AppClass.String(), want[name].String())
 	}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"moca/internal/event"
 	"moca/internal/obs"
@@ -186,6 +187,11 @@ type Controller struct {
 	stats  ChannelStats
 	httime Timing // cached timing
 
+	// occupied has bit i set exactly when banks[i].npend > 0. The FR-FCFS
+	// scans in pick and nextWake walk its set bits in ascending bank order
+	// instead of testing every bank (HBM has 64, mostly idle).
+	occupied []uint64
+
 	// Pending requests in arrival order (intrusive list through
 	// Request.nextQ/prevQ); each request is also on its bank's list.
 	qHead, qTail *Request
@@ -251,6 +257,7 @@ func NewController(name string, q *event.Queue, cfg ChannelConfig) (*Controller,
 		banks:  make([]bank, cfg.Device.Geometry.Banks),
 		httime: cfg.Device.Timing,
 	}
+	c.occupied = make([]uint64, (len(c.banks)+63)/64)
 	for i := range c.banks {
 		c.banks[i].openRow = -1
 		c.banks[i].preInFlightRow = -1
@@ -333,6 +340,7 @@ const (
 
 // Enqueue presents a request to the channel. It reports false when the
 // controller queue is full (backpressure); the caller must retry later.
+//
 //moca:hotpath
 func (c *Controller) Enqueue(r *Request) bool {
 	if c.qLen+c.pendingArrivals >= c.cfg.MaxQueue {
@@ -349,6 +357,7 @@ func (c *Controller) Enqueue(r *Request) bool {
 // the Request (recycled through a free list) and completion is delivered to
 // sink.MemDone(token, at) instead of a per-request closure. A nil sink
 // (writebacks, copy traffic) completes silently.
+//
 //moca:hotpath
 func (c *Controller) EnqueueLine(addr uint64, write bool, core int, obj uint64, sink DoneSink, token uint64) bool {
 	if c.qLen+c.pendingArrivals >= c.cfg.MaxQueue {
@@ -391,6 +400,7 @@ func (c *Controller) release(r *Request) {
 }
 
 // OnEvent implements event.Handler.
+//
 //moca:hotpath
 func (c *Controller) OnEvent(now event.Time, op int32, i64 int64, p any) {
 	switch op {
@@ -431,6 +441,9 @@ func (c *Controller) onArrival(now event.Time, r *Request) {
 	}
 	b.tail = r
 	b.npend++
+	if b.npend == 1 {
+		c.occupied[r.bank>>6] |= 1 << (r.bank & 63)
+	}
 	if b.openRow == int64(r.row) {
 		b.rowMatch++
 	}
@@ -467,6 +480,7 @@ func (c *Controller) onPreDone(now event.Time, bankIdx int) {
 // armChain starts a wake chain: the polling model's armTick scheduling an
 // immediate tick. The wake fires at the current time, after every normal
 // event already pending at it, exactly like a zero-delay tick would.
+//
 //moca:hotpath
 func (c *Controller) armChain(now event.Time) {
 	c.chainActive = true
@@ -479,6 +493,7 @@ func (c *Controller) armChain(now event.Time) {
 // (arrival, precharge completion) and pulls the pending wake earlier if
 // needed. State changes between wakes only ever add options, so the wake
 // never moves later here.
+//
 //moca:hotpath
 func (c *Controller) pullWake(now event.Time) {
 	at, s := c.nextWake(now, now, false)
@@ -491,6 +506,7 @@ func (c *Controller) pullWake(now event.Time) {
 // onWake runs one scheduler activation at a clock edge: refresh
 // bookkeeping, then up to CommandsPerTick command issues, then either chain
 // death (queue empty) or a sleep until the next actionable edge.
+//
 //moca:hotpath
 func (c *Controller) onWake(now event.Time) {
 	c.refreshCatchUp(now)
@@ -516,6 +532,7 @@ func (c *Controller) onWake(now event.Time) {
 // refreshCatchUp applies refresh intervals that have elapsed: all banks
 // close and stay busy for tRFC. Modeled as a bank-timing update, not a
 // queued command.
+//
 //moca:hotpath
 func (c *Controller) refreshCatchUp(now event.Time) {
 	for now >= c.nextRefreshAt {
@@ -547,6 +564,7 @@ func (c *Controller) refreshCatchUp(now event.Time) {
 // but a late wake would diverge, so candidates are exact lower bounds.
 // cptExhausted marks an activation that used its full command budget: more
 // work may be possible on the very next edge.
+//
 //moca:hotpath
 func (c *Controller) nextWake(now, lower event.Time, cptExhausted bool) (at, s event.Time) {
 	const far = int64(1) << 62
@@ -582,55 +600,55 @@ func (c *Controller) nextWake(now, lower event.Time, cptExhausted bool) (at, s e
 		// With no write asymmetry casDelay is constant, so every row hit in
 		// a bank yields the same candidate time and the first one decides.
 		uniform := c.httime.TCASWrite <= 0
-		for i := range c.banks {
-			if best <= lower {
-				// The result is max(best, lower): further banks can only
-				// lower best below the clamp, never change the answer.
-				break
-			}
-			b := &c.banks[i]
-			if b.npend == 0 {
-				continue
-			}
-			if b.openRow < 0 {
-				if b.actAllowedAt < best {
-					best = b.actAllowedAt
+	scan:
+		for w, word := range c.occupied {
+			for ; word != 0; word &= word - 1 {
+				if best <= lower {
+					// The result is max(best, lower): further banks can only
+					// lower best below the clamp, never change the answer.
+					break scan
 				}
-				continue
-			}
-			if uniform {
-				// casDelay is constant, so the counter alone decides: any
-				// row hit yields the same candidate as the first one.
-				if b.rowMatch > 0 {
+				b := &c.banks[w<<6|bits.TrailingZeros64(word)]
+				if b.openRow < 0 {
+					if b.actAllowedAt < best {
+						best = b.actAllowedAt
+					}
+					continue
+				}
+				if uniform {
+					// casDelay is constant, so the counter alone decides: any
+					// row hit yields the same candidate as the first one.
+					if b.rowMatch > 0 {
+						cand := b.casReadyAt
+						if t := c.busFreeAt - c.httime.TCAS; t > cand {
+							cand = t
+						}
+						if cand < best {
+							best = cand
+						}
+					} else if b.preAllowedAt < best {
+						best = b.preAllowedAt
+					}
+					continue
+				}
+				matched := b.rowMatch > 0
+				for r := b.head; r != nil; r = r.nextB {
+					if int64(r.row) != b.openRow {
+						continue
+					}
 					cand := b.casReadyAt
-					if t := c.busFreeAt - c.httime.TCAS; t > cand {
+					if t := c.busFreeAt - c.casDelay(r); t > cand {
 						cand = t
 					}
 					if cand < best {
 						best = cand
 					}
-				} else if b.preAllowedAt < best {
+				}
+				if !matched && b.preAllowedAt < best {
+					// No pending request wants the open row: precharge is
+					// permitted once tRAS expires.
 					best = b.preAllowedAt
 				}
-				continue
-			}
-			matched := b.rowMatch > 0
-			for r := b.head; r != nil; r = r.nextB {
-				if int64(r.row) != b.openRow {
-					continue
-				}
-				cand := b.casReadyAt
-				if t := c.busFreeAt - c.casDelay(r); t > cand {
-					cand = t
-				}
-				if cand < best {
-					best = cand
-				}
-			}
-			if !matched && b.preAllowedAt < best {
-				// No pending request wants the open row: precharge is
-				// permitted once tRAS expires.
-				best = b.preAllowedAt
 			}
 		}
 		// The edge where the oldest request crosses the starvation limit
@@ -662,6 +680,7 @@ func (c *Controller) nextWake(now, lower event.Time, cptExhausted bool) (at, s e
 // mapAddress decodes the module-local RoRaBaChCo address interleave: the
 // column bits are the least significant, then the bank bits, then the row.
 // (The Ch bits were consumed when the system routed to this channel.)
+//
 //moca:hotpath
 func (c *Controller) mapAddress(r *Request) {
 	bankBits := c.bankBits
@@ -674,24 +693,48 @@ func (c *Controller) mapAddress(r *Request) {
 	r.row = (high<<(stripe-c.colBits) | low) % uint64(c.cfg.Device.Geometry.Rows)
 }
 
-// issueOne issues the single best command available this cycle, preferring
-// CAS (completes a request) over ACT over PRE so data flows as early as
-// possible. Returns false if no command could issue.
-//moca:hotpath
-// issueOne picks and issues the highest-priority ready command: the oldest
-// CAS (row hits inherently win under FR-FCFS because conflicting requests
-// are not CAS-ready), else the oldest ACT into a closed bank, else the
-// oldest PRE of a row nothing pending still wants. All three candidates
-// come out of one pass over the banks — per bank the CAS/PRE conditions
-// (row open) and the ACT condition (row closed) are mutually exclusive,
-// and one chain walk answers both the CAS pick (first row hit that can
-// claim the bus) and the PRE row-still-wanted test. The fused scan issues
-// exactly what the three separate oldest-first scans would.
+// Scheduler commands, as returned by pick.
+const (
+	cmdNone = iota
+	cmdCAS
+	cmdACT
+	cmdPRE
+)
+
+// issueOne issues the single best command available this cycle (see pick).
+// Returns false if no command could issue.
 //
 //moca:hotpath
 func (c *Controller) issueOne(now event.Time) bool {
-	if c.qHead == nil {
+	r, cmd := c.pick(now)
+	switch cmd {
+	case cmdCAS:
+		c.issueCAS(now, r)
+	case cmdACT:
+		c.issueACT(now, r)
+	case cmdPRE:
+		c.issuePRE(now, r)
+	default:
 		return false
+	}
+	return true
+}
+
+// pick returns the highest-priority ready command and its request: the
+// oldest CAS (row hits inherently win under FR-FCFS because conflicting
+// requests are not CAS-ready), else the oldest ACT into a closed bank, else
+// the oldest PRE of a row nothing pending still wants. CAS comes first so
+// data flows as early as possible. All three candidates come out of one
+// pass over the occupied banks — per bank the CAS/PRE conditions (row open)
+// and the ACT condition (row closed) are mutually exclusive, and one chain
+// walk answers both the CAS pick (first row hit that can claim the bus) and
+// the PRE row-still-wanted test. The fused scan issues exactly what the
+// three separate oldest-first scans would.
+//
+//moca:hotpath
+func (c *Controller) pick(now event.Time) (*Request, int) {
+	if c.qHead == nil {
+		return nil, cmdNone
 	}
 	// In-order mode considers only the oldest request: always under FCFS,
 	// and under FR-FCFS once the oldest has been starved past the limit.
@@ -699,79 +742,72 @@ func (c *Controller) issueOne(now event.Time) bool {
 		r := c.qHead
 		b := &c.banks[r.bank]
 		if b.openRow == int64(r.row) && now >= b.casReadyAt && c.busFreeAt <= now+c.casDelay(r) {
-			c.issueCAS(now, r)
-			return true
+			return r, cmdCAS
 		}
 		if b.openRow == -1 && b.preInFlightRow == -1 && now >= b.actAllowedAt {
-			c.issueACT(now, r)
-			return true
+			return r, cmdACT
 		}
 		// With only the head considered, no request can want the open row.
 		if b.openRow != -1 && b.openRow != int64(r.row) && b.preInFlightRow == -1 &&
 			now >= b.preAllowedAt {
-			c.issuePRE(now, r)
-			return true
+			return r, cmdPRE
 		}
-		return false
+		return nil, cmdNone
 	}
 	var cas, act, pre *Request
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.npend == 0 {
-			continue
-		}
-		if b.openRow == -1 {
-			if b.preInFlightRow == -1 && now >= b.actAllowedAt {
-				if r := b.head; act == nil || r.qSeq < act.qSeq {
-					act = r
-				}
-			}
-			continue
-		}
-		casReady := now >= b.casReadyAt
-		preReady := b.preInFlightRow == -1 && now >= b.preAllowedAt
-		if !casReady && !preReady {
-			continue
-		}
-		wanted := b.rowMatch > 0
-		if wanted && casReady {
-			for r := b.head; r != nil; r = r.nextB {
-				if int64(r.row) != b.openRow {
-					continue
-				}
-				if c.busFreeAt <= now+c.casDelay(r) {
-					if cas == nil || r.qSeq < cas.qSeq {
-						cas = r
+	for w, word := range c.occupied {
+		for ; word != 0; word &= word - 1 {
+			b := &c.banks[w<<6|bits.TrailingZeros64(word)]
+			if b.openRow == -1 {
+				if b.preInFlightRow == -1 && now >= b.actAllowedAt {
+					if r := b.head; act == nil || r.qSeq < act.qSeq {
+						act = r
 					}
-					break // older requests in this bank cannot beat r
 				}
-				// Row hit that cannot claim the bus: keep walking, a
-				// later hit with a different burst length may fit.
+				continue
+			}
+			casReady := now >= b.casReadyAt
+			preReady := b.preInFlightRow == -1 && now >= b.preAllowedAt
+			if !casReady && !preReady {
+				continue
+			}
+			wanted := b.rowMatch > 0
+			if wanted && casReady {
+				for r := b.head; r != nil; r = r.nextB {
+					if int64(r.row) != b.openRow {
+						continue
+					}
+					if c.busFreeAt <= now+c.casDelay(r) {
+						if cas == nil || r.qSeq < cas.qSeq {
+							cas = r
+						}
+						break // older requests in this bank cannot beat r
+					}
+					// Row hit that cannot claim the bus: keep walking, a
+					// later hit with a different burst length may fit.
+				}
+			}
+			if preReady && !wanted {
+				if r := b.head; pre == nil || r.qSeq < pre.qSeq {
+					pre = r
+				}
 			}
 		}
-		if preReady && !wanted {
-			if r := b.head; pre == nil || r.qSeq < pre.qSeq {
-				pre = r
-			}
-		}
 	}
-	if cas != nil {
-		c.issueCAS(now, cas)
-		return true
+	switch {
+	case cas != nil:
+		return cas, cmdCAS
+	case act != nil:
+		return act, cmdACT
+	case pre != nil:
+		return pre, cmdPRE
 	}
-	if act != nil {
-		c.issueACT(now, act)
-		return true
-	}
-	if pre != nil {
-		c.issuePRE(now, pre)
-		return true
-	}
-	return false
+	return nil, cmdNone
 }
 
 // casDelay returns the CAS-to-data delay for a request: writes on
 // write-asymmetric devices (PCM) take far longer than reads.
+//
 //moca:hotpath
 func (c *Controller) casDelay(r *Request) event.Time {
 	if r.Write && c.httime.TCASWrite > 0 {
@@ -902,6 +938,7 @@ func (c *Controller) issuePRE(now event.Time, r *Request) {
 
 // removeRequest unlinks a served request from the global FIFO and its
 // bank's list in O(1).
+//
 //moca:hotpath
 func (c *Controller) removeRequest(r *Request) {
 	if r.prevQ != nil {
@@ -928,6 +965,9 @@ func (c *Controller) removeRequest(r *Request) {
 	r.nextQ, r.prevQ, r.nextB, r.prevB = nil, nil, nil, nil
 	c.qLen--
 	b.npend--
+	if b.npend == 0 {
+		c.occupied[r.bank>>6] &^= 1 << (r.bank & 63)
+	}
 	if b.openRow == int64(r.row) {
 		b.rowMatch--
 	}

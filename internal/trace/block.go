@@ -1075,9 +1075,9 @@ type ReplayStream interface {
 }
 
 var (
-	_ ReplayStream = (*Reader)(nil)
-	_ ReplayStream = (*BlockReader)(nil)
-	_ ReplayStream = (*Loop)(nil)
+	_ ReplayStream    = (*Reader)(nil)
+	_ ReplayStream    = (*BlockReader)(nil)
+	_ ReplayStream    = (*Loop)(nil)
 	_ cpu.BatchStream = (*BlockReader)(nil)
 )
 

@@ -223,8 +223,8 @@ func TestOpenBlockReaderAt(t *testing.T) {
 	bad := []Position{
 		{ByteOff: positions[1].ByteOff + 1, Seq: positions[1].Seq}, // mid-frame
 		{ByteOff: positions[1].ByteOff, Seq: positions[1].Seq + 7}, // wrong seq
-		{ByteOff: 3, Seq: 0},                                       // inside header
-		{ByteOff: uint64(len(data)) + 100, Seq: 0},                 // past EOF
+		{ByteOff: 3, Seq: 0},                       // inside header
+		{ByteOff: uint64(len(data)) + 100, Seq: 0}, // past EOF
 	}
 	for _, pos := range bad {
 		if _, err := OpenBlockReaderAt(bytes.NewReader(data), pos); !errors.Is(err, ErrBadPosition) {

@@ -60,8 +60,8 @@ func FuzzReader(f *testing.F) {
 	f.Add(v1)
 	f.Add(v2)
 	f.Add(v1[:len(v1)-3])
-	f.Add(v2[:len(v2)-3])      // truncated: missing end frame tail
-	f.Add(v2[:headerLen+4])    // truncated mid block header
+	f.Add(v2[:len(v2)-3])   // truncated: missing end frame tail
+	f.Add(v2[:headerLen+4]) // truncated mid block header
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	for _, seed := range [][]byte{v1, v2} {
@@ -120,7 +120,7 @@ func FuzzBlockSeek(f *testing.F) {
 	f.Add(v2, uint64(0), uint64(0), uint64(2))
 	f.Add(v2, uint64(headerLen), uint64(0), uint64(4))
 	f.Add(v2, uint64(len(v2)-2), uint64(5), uint64(5))
-	f.Add(v2, uint64(13), uint64(2), uint64(3))      // mid-stream boundary guess
+	f.Add(v2, uint64(13), uint64(2), uint64(3)) // mid-stream boundary guess
 	f.Add(v2[:len(v2)-4], uint64(13), uint64(2), uint64(9))
 	f.Add([]byte(Magic+"\x02"), uint64(1<<40), uint64(1<<40), uint64(0))
 

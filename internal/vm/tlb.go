@@ -55,6 +55,7 @@ func NewTLB(entries int) *TLB {
 // a full multiplicative hash, any aligned run of `sets` consecutive pages
 // still maps exactly one page per set (each chunk XOR is a bijection on
 // the low chunk), so dense sequential footprints never conflict-miss.
+//
 //moca:hotpath
 func (t *TLB) setOf(vpage uint64) int {
 	if t.sets == 1 {
@@ -68,6 +69,7 @@ func (t *TLB) setOf(vpage uint64) int {
 }
 
 // set returns the slot range backing vpage's set.
+//
 //moca:hotpath
 func (t *TLB) set(vpage uint64) []tlbSlot {
 	base := t.setOf(vpage) * t.ways
@@ -75,6 +77,7 @@ func (t *TLB) set(vpage uint64) []tlbSlot {
 }
 
 // Lookup returns the cached translation for a virtual page.
+//
 //moca:hotpath
 func (t *TLB) Lookup(vpage uint64) (Frame, bool) {
 	set := t.set(vpage)
@@ -92,6 +95,7 @@ func (t *TLB) Lookup(vpage uint64) (Frame, bool) {
 }
 
 // Insert caches a translation, evicting the set's LRU entry if full.
+//
 //moca:hotpath
 func (t *TLB) Insert(vpage uint64, f Frame) {
 	set := t.set(vpage)
@@ -118,6 +122,7 @@ func (t *TLB) Insert(vpage uint64, f Frame) {
 
 // Invalidate drops the translation for a virtual page (the migration
 // shootdown). Reports whether an entry was present.
+//
 //moca:hotpath
 func (t *TLB) Invalidate(vpage uint64) bool {
 	set := t.set(vpage)

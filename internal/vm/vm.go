@@ -148,6 +148,7 @@ func (pt *PageTable) init(size int) {
 // hash spreads vpage bits with a Fibonacci multiplicative hash and keeps
 // the top bits, which a power-of-two mask would otherwise discard —
 // sequential and strided vpages land on distinct home slots.
+//
 //moca:hotpath
 func (pt *PageTable) hash(vpage uint64) int {
 	return int((vpage * 0x9E3779B97F4A7C15) >> pt.shift)
@@ -155,6 +156,7 @@ func (pt *PageTable) hash(vpage uint64) int {
 
 // find returns the slot index holding vpage, or the first empty slot of
 // its probe chain when absent.
+//
 //moca:hotpath
 func (pt *PageTable) find(vpage uint64) int {
 	mask := len(pt.slots) - 1
@@ -167,6 +169,7 @@ func (pt *PageTable) find(vpage uint64) int {
 
 // grow doubles the table once load passes ~75%, rehashing every live
 // translation (no tombstones exist to skip).
+//
 //moca:hotpath
 func (pt *PageTable) grow() {
 	old := pt.slots
@@ -182,6 +185,7 @@ func (pt *PageTable) grow() {
 // Lookup finds the frame backing a virtual page. Every call models a page
 // walk (the simulator translates once per access; TLB filtering is applied
 // by the caller if modeled).
+//
 //moca:hotpath
 func (pt *PageTable) Lookup(vpage uint64) (Frame, bool) {
 	pt.walks++
@@ -194,6 +198,7 @@ func (pt *PageTable) Lookup(vpage uint64) (Frame, bool) {
 
 // Map installs a translation. Remapping a mapped page panics: the
 // simulator never swaps implicitly — migration uses Remap.
+//
 //moca:hotpath
 func (pt *PageTable) Map(vpage uint64, f Frame) {
 	i := pt.find(vpage)
@@ -212,6 +217,7 @@ func (pt *PageTable) Map(vpage uint64, f Frame) {
 // returns the old frame. The slot is updated in place — the key set never
 // shrinks, which is what keeps the table tombstone-free. Remapping an
 // unmapped page panics.
+//
 //moca:hotpath
 func (pt *PageTable) Remap(vpage uint64, f Frame) Frame {
 	i := pt.find(vpage)

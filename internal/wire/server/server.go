@@ -184,6 +184,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
 	s.mu.Unlock()
 	defer s.hardCancel()
+	defer s.closeTraces()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -245,6 +246,21 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		<-done
 	}
 	return nil
+}
+
+// closeTraces terminates every trace session still in the table
+// (detached ones waiting on their idle timers, and finished ones whose
+// terminal frame never reached a client), so no timer outlives Serve.
+func (s *Server) closeTraces() {
+	s.mu.Lock()
+	sessions := make([]*traceSession, 0, len(s.traces))
+	for _, ts := range s.traces {
+		sessions = append(sessions, ts)
+	}
+	s.mu.Unlock()
+	for _, ts := range sessions {
+		ts.terminate()
+	}
 }
 
 func (s *Server) newConn(nc net.Conn) *conn {
@@ -535,7 +551,7 @@ func (c *conn) submit(sub wire.Submit) error {
 	// drain window expires the server cancels stragglers instead of
 	// leaking them behind force-closed connections.
 	jctx, cancel := context.WithCancel(c.srv.hardContext())
-	j := &job{id: sub.ID, memoKey: def.Name + "|" + key, cancel: cancel, state: wire.StateRunning}
+	j := &job{id: sub.ID, memoKey: def.ID() + "|" + key, cancel: cancel, state: wire.StateRunning}
 	c.jobs[sub.ID] = j
 	c.mu.Unlock()
 

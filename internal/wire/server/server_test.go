@@ -136,6 +136,54 @@ func TestManyClientsOneSimulation(t *testing.T) {
 	}
 }
 
+// TestConfigVariantNotAliased: moca and moca@config2 share the simulator
+// config name but not the capacity configuration. A server that has run
+// moca must still simulate moca@config2, and serve the bytes a fresh
+// local run of moca@config2 produces.
+func TestConfigVariantNotAliased(t *testing.T) {
+	srv, addr := startServer(t, Config{DrainTimeout: 5 * time.Second})
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var raw []byte
+	for _, system := range []string{"moca", "moca@config2"} {
+		sub := testSubmit(0)
+		sub.System = system
+		_, j, err := c.Run(context.Background(), sub, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", system, err)
+		}
+		raw = j.Raw
+	}
+	srv.mu.Lock()
+	r := srv.runners[testKey()]
+	srv.mu.Unlock()
+	if st := r.Stats(); st.Simulated != 2 {
+		t.Errorf("Simulated = %d for moca then moca@config2, want 2", st.Simulated)
+	}
+
+	local := exp.NewRunner()
+	local.Measure = testMeasure
+	local.FW.ProfileWindow = testWindow
+	def, err := exp.SystemByName("moca@config2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := local.RunSingle(def, "mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Error("served moca@config2 bytes differ from a local moca@config2 run")
+	}
+}
+
 // TestCancelSoleClientStopsRun: the only client joined to a run cancels;
 // the client returns context.Canceled and the simulation's progress ticks
 // cease — the CANCEL frame reached System.RunContext via the flight

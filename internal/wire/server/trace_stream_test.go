@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,6 +27,31 @@ func traceStartSpec() wire.TraceStart {
 		System:  "ddr3",
 		App:     "mcf",
 		Measure: testMeasure,
+	}
+}
+
+// recordTrace records the first total items of the app's generator
+// stream to path as a v2 block trace of blockItems-item blocks.
+func recordTrace(t *testing.T, path string, appSpec workload.AppSpec, total uint64, blockItems int) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	app, err := workload.Instantiate(appSpec.ForInput(workload.Ref), heap.New(heap.Config{}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw, err := trace.NewBlockWriterSize(f, blockItems, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Record(bw, app.Stream(), total); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -61,28 +87,7 @@ func TestTraceStreamResume(t *testing.T) {
 	const blockItems = 4096
 	total := warm + testMeasure + 50_000
 	path := filepath.Join(t.TempDir(), "mcf.trace")
-	func() {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		scratch := heap.New(heap.Config{})
-		app, err := workload.Instantiate(appSpec.ForInput(workload.Ref), scratch, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bw, err := trace.NewBlockWriterSize(f, blockItems, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := trace.Record(bw, app.Stream(), total); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	recordTrace(t, path, appSpec, total, blockItems)
 
 	// Local reference: the same simulation fed from the same trace file.
 	want := func() []byte {
@@ -244,5 +249,125 @@ func TestTraceSessionBusy(t *testing.T) {
 		if !errors.As(err, &re) || re.Code != wire.CodeBadReq {
 			t.Fatalf("mismatched attach: %v, want a refusal", err)
 		}
+	}
+}
+
+// TestTraceSessionRelease: a session whose RESULT reached its client
+// leaves the server's table at once instead of holding its decoded
+// batches until the idle reaper fires, and shutdown terminates the
+// detached sessions still waiting on their idle timers.
+func TestTraceSessionRelease(t *testing.T) {
+	appSpec, ok := workload.ByName("mcf")
+	if !ok {
+		t.Fatal("unknown application mcf")
+	}
+	def, err := exp.SystemByName("ddr3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := sim.New(sim.DefaultConfig(def.Name, def.Modules, def.Policy),
+		[]sim.ProcSpec{{App: appSpec, Input: workload.Ref}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "mcf.trace")
+	recordTrace(t, path, appSpec, probe.SuggestedWarmup()+testMeasure+50_000, 4096)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{DrainTimeout: 5 * time.Second, TraceIdleTimeout: time.Hour})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	sessions := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.traces)
+	}
+
+	push := func(c *client.Client, token string) *client.Job {
+		spec := traceStartSpec()
+		spec.Session = token
+		j, from, err := c.TraceStart(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := c.PushTrace(j, f, from, nil); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	for _, token := range []string{"done-1", "done-2"} {
+		c, err := client.Dial(ln.Addr().String(), client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.TraceEnd(context.Background(), push(c, token)); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	// The release follows the RESULT write, so the client may see the
+	// frame a moment before the table empties.
+	deadline := time.Now().Add(10 * time.Second)
+	for sessions() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d trace session(s) still held after their results were delivered", sessions())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// A session abandoned without TRACE_END stays for a re-attach, on its
+	// idle timer, until shutdown terminates it.
+	c, err := client.Dial(ln.Addr().String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	push(c, "detached")
+	srv.mu.Lock()
+	ts := srv.traces["detached"]
+	srv.mu.Unlock()
+	c.Close()
+	if ts == nil {
+		t.Fatal("the detached session is not in the table")
+	}
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		ts.mu.Lock()
+		armed := ts.idle != nil
+		ts.mu.Unlock()
+		if armed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the detached session never armed its idle timer")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Serve did not drain within 30s")
+	}
+	if n := sessions(); n != 0 {
+		t.Errorf("%d trace session(s) left after shutdown", n)
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if ts.idle != nil || !ts.removed {
+		t.Error("shutdown left the detached session's idle timer pending")
 	}
 }

@@ -297,6 +297,7 @@ func (ts *traceSession) remove() {
 }
 
 // terminate is the CANCEL path: the client abandons the session for good.
+// Shutdown terminates every session still in the table.
 func (ts *traceSession) terminate() {
 	ts.mu.Lock()
 	ts.removed = true
@@ -306,6 +307,26 @@ func (ts *traceSession) terminate() {
 	}
 	ts.mu.Unlock()
 	ts.remove()
+}
+
+// release frees a finished session once its terminal frame reached the
+// client: it leaves the server's table, and the decoded batches it still
+// holds (queued, recycled, and the decoder's arena) are dropped. Called
+// after TraceEnd, so blocks is closed and no push can touch the decoder.
+func (ts *traceSession) release() {
+	ts.terminate()
+	ts.mu.Lock()
+	ts.dec = trace.BlockDecoder{}
+	ts.mu.Unlock()
+	for range ts.blocks {
+	}
+	for {
+		select {
+		case <-ts.free:
+		default:
+			return
+		}
+	}
 }
 
 // handleTraceStart serves one TRACE_START frame.
@@ -364,6 +385,8 @@ func (c *conn) handleTraceEnd(end wire.TraceEnd) error {
 	go func() {
 		defer c.jwg.Done()
 		<-ts.done
+		// A session whose terminal frame was written is done with; one
+		// whose write failed stays, so a re-attach can still collect it.
 		if ts.runErr != nil {
 			j.setState(wire.StateFailed)
 			code := wire.CodeFailed
@@ -371,7 +394,9 @@ func (c *conn) handleTraceEnd(end wire.TraceEnd) error {
 				j.setState(wire.StateCanceled)
 				code = wire.CodeCanceled
 			}
-			_ = c.send(wire.TypeError, wire.ErrorMsg{ID: j.id, Code: code, Msg: ts.runErr.Error()})
+			if c.send(wire.TypeError, wire.ErrorMsg{ID: j.id, Code: code, Msg: ts.runErr.Error()}) == nil {
+				ts.release()
+			}
 			return
 		}
 		// The same encode path as runJob: sim.Result JSON is deterministic,
@@ -384,7 +409,9 @@ func (c *conn) handleTraceEnd(end wire.TraceEnd) error {
 			return
 		}
 		j.setState(wire.StateDone)
-		_ = c.sendRaw(wire.TypeResult, payload)
+		if c.sendRaw(wire.TypeResult, payload) == nil {
+			ts.release()
+		}
 	}()
 	return nil
 }
