@@ -39,8 +39,7 @@ func main() {
 func run() (code int) {
 	measure := flag.Uint64("measure", 300_000, "measured instructions per core per run")
 	window := flag.Uint64("profile-window", 300_000, "profiling run window (instructions)")
-	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = NumCPU divided by -shards)")
-	shards := flag.Int("shards", 0, "worker goroutines per simulation (<= 1: serial; results are identical across shard counts)")
+	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = NumCPU)")
 	fastpath := flag.Bool("fastpath", envOr("MOCA_FASTPATH", "1") != "0", "inline-hit and compute-batch fast path (byte-identical either way; default $MOCA_FASTPATH or on)")
 	format := flag.String("format", "text", "output format: text, md (markdown), csv (grids only)")
 	metrics := flag.Bool("metrics", false, "collect per-run metrics and print per-system aggregate tables at the end")
@@ -106,7 +105,6 @@ func run() (code int) {
 	r.Measure = *measure
 	r.FW.ProfileWindow = *window
 	r.Parallelism = *parallel
-	r.Shards = *shards
 	r.NoFastpath = !*fastpath
 	r.Ctx = ctx
 	var runTrace *obs.Trace

@@ -181,12 +181,6 @@ type OS struct {
 	stats    Stats
 	migrator *Migrator // nil unless migration is active
 
-	// gate, if set, is invoked at the top of every page fault. The
-	// sharded simulator installs a barrier here that serializes faults —
-	// the only mid-window touch of shared OS state — into a deterministic
-	// (cycle, core) order (see sim/shard.go faultGate).
-	gate func(proc int)
-
 	// Observability; all nil (free) unless AttachObs was called.
 	obsFaults    *obs.Counter
 	obsFallbacks *obs.Counter
@@ -231,14 +225,10 @@ func (o *OS) AddProcess(proc int, appClass classify.Class) {
 	}
 }
 
-// SetFaultGate installs fn as the page-fault serialization hook; nil
-// removes it. The hook runs before any shared allocation state is read.
-func (o *OS) SetFaultGate(fn func(proc int)) { o.gate = fn }
-
 // AttachObs registers the OS on the metrics registry ("alloc.*" counters)
 // and the run-trace sink (page-placed and fallback-taken events, stamped
-// with now(proc) — the faulting process's simulation clock; under sharded
-// execution each process advances on its own shard queue). Nil arguments
+// with now(proc) — the faulting process's simulation clock; each process
+// advances on its own core queue). Nil arguments
 // disable the corresponding instrumentation.
 func (o *OS) AttachObs(r *obs.Registry, tr *obs.Trace, now func(proc int) int64) {
 	if r == nil {
@@ -311,13 +301,7 @@ func (o *OS) Translate(proc int, vaddr uint64, write bool) (paddr uint64, ok boo
 		return vm.Compose(f.Module, f.Number, offset), true
 	}
 
-	// Page fault: consult the policy and walk its preference chain. From
-	// here on shared state is touched (frame pools, global stats, the
-	// migration monitor), so sharded execution serializes through the
-	// gate first.
-	if o.gate != nil {
-		o.gate(proc)
-	}
+	// Page fault: consult the policy and walk its preference chain.
 	o.stats.Faults++
 	if o.obsFaults != nil {
 		o.obsFaults.Inc()

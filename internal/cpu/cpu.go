@@ -279,7 +279,7 @@ func (c *Core) SetFastpath(on bool) {
 func (c *Core) Stats() Stats { return c.stats }
 
 // Instructions returns the retired-instruction count without copying the
-// whole Stats struct: the sharded runner reads it every cycle to check
+// whole Stats struct: the windowed loop reads it every cycle to check
 // quota crossings.
 //
 //moca:hotpath

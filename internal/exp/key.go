@@ -45,13 +45,10 @@ func ResultCacheKey(cfg sim.Config, procs []sim.ProcSpec, measure, profileWindow
 	kc := cfg
 	kc.Name = ""
 	kc.Obs = obs.Options{}
-	// Shards is an execution strategy, not a model parameter: results are
-	// byte-identical across shard counts (internal/sim/difftest proves it),
-	// so a run cached at one shard count serves every other.
-	kc.Shards = 0
-	// Same for the fast path: fast and slow execution produce the same
-	// bytes (the golden suite and difftest fastpath axis prove it), so a
-	// slow-path run may serve a fast-path request and vice versa.
+	// The fast path is an execution strategy, not a model parameter: fast
+	// and slow execution produce the same bytes (the golden suite and
+	// difftest prove it), so a slow-path run may serve a fast-path request
+	// and vice versa.
 	kc.NoFastpath = false
 	kps := make([]sim.ProcSpec, len(procs))
 	for i, p := range procs {

@@ -123,16 +123,11 @@ type Runner struct {
 	// Measure is the measured instruction quota per core per run.
 	Measure uint64
 	// Parallelism bounds concurrent simulations and profiling runs. Zero
-	// derives a default from NumCPU and Shards so runs x shards never
-	// oversubscribes the machine (see effectiveParallelism).
+	// means NumCPU (see effectiveParallelism).
 	Parallelism int
-	// Shards is the worker-goroutine count of each simulation (sim.Config
-	// Shards; <= 1: serial). Excluded from cache keys: results are
-	// byte-identical across shard counts.
-	Shards int
 	// NoFastpath disables the inline-hit / compute-batch fast path
-	// (sim.Config.NoFastpath). Like Shards it is an execution strategy
-	// with byte-identical results, so it is excluded from cache keys.
+	// (sim.Config.NoFastpath). An execution strategy with byte-identical
+	// results, so it is excluded from cache keys.
 	NoFastpath bool
 	// Obs selects per-run observability. Each simulation builds its own
 	// metrics registry, so concurrent runs never share instruments; a
@@ -420,7 +415,6 @@ func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, ap
 	cfg := sim.DefaultConfig(def.Name, def.Modules, def.Policy)
 	cfg.Chains = def.Chains
 	cfg.Obs = r.Obs
-	cfg.Shards = r.Shards
 	cfg.NoFastpath = r.NoFastpath
 
 	var cacheKey string
@@ -475,22 +469,12 @@ func (r *Runner) Results() map[string]*sim.Result {
 
 // effectiveParallelism resolves the concurrent-simulation bound. An
 // explicit Parallelism wins unchanged (the caller opted in, possibly to
-// oversubscription). The default divides the machine by the per-run shard
-// count, so concurrent runs x worker goroutines stays at NumCPU instead of
-// multiplying into NumCPU^2-style thrash when both knobs derive from the
-// core count.
-func effectiveParallelism(parallelism, shards, numCPU int) int {
+// oversubscription); the default is one run per CPU.
+func effectiveParallelism(parallelism, numCPU int) int {
 	if parallelism > 0 {
 		return parallelism
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	limit := numCPU / shards
-	if limit < 1 {
-		limit = 1
-	}
-	return limit
+	return numCPU
 }
 
 // parallel runs the tasks with bounded concurrency. After all tasks
@@ -500,7 +484,7 @@ func effectiveParallelism(parallelism, shards, numCPU int) int {
 // have not started; a panicking task becomes that task's error instead of
 // killing the process.
 func (r *Runner) parallel(ctx context.Context, tasks []func() error) error {
-	limit := effectiveParallelism(r.Parallelism, r.Shards, runtime.NumCPU())
+	limit := effectiveParallelism(r.Parallelism, runtime.NumCPU())
 	if limit > len(tasks) {
 		limit = len(tasks)
 	}

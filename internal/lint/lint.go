@@ -18,10 +18,7 @@
 //     `//moca:allowalloc <reason>`);
 //   - behaviorversion: the cache-visible sim.Result schema must match the
 //     checked-in fingerprint, and schema changes must bump
-//     sim.BehaviorVersion;
-//   - shardsafe: code reaching state of two or more `//moca:shard`
-//     domains must be annotated `//moca:barrier <reason>` (suppress one
-//     access with `//moca:allowshared <reason>`).
+//     sim.BehaviorVersion.
 //
 // Phase 2 extends the suite to the concurrent serving layer (internal/wire,
 // internal/exp, internal/obs), whose failure modes are liveness and
@@ -239,7 +236,7 @@ func pkgFuncOf(info *types.Info, sel *ast.SelectorExpr) (pkgPath, name string, o
 // Analyzers returns the full moca-vet suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		MapOrder, WallTime, HotAlloc, BehaviorVersion, ShardSafe,
+		MapOrder, WallTime, HotAlloc, BehaviorVersion,
 		LockHold, CtxFlow, WireDispatch, GoroLeak,
 	}
 }

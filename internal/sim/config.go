@@ -99,24 +99,19 @@ type Config struct {
 	// Obs selects runtime observability (metrics registry and/or run-trace
 	// sink). Zero value: disabled — the hot path pays only nil checks.
 	Obs obs.Options
-	// Shards is the number of worker goroutines the run executes on
-	// (<= 1: serial). An execution strategy, not a model parameter:
-	// results are byte-identical across shard counts (see shard.go), so
-	// the experiment cache excludes it from its keys.
-	Shards int
 	// NoFastpath disables the common-case fast path (inline L1/L2 hit
-	// servicing and compute-run batching; zero value: enabled). Like
-	// Shards it is an execution strategy, not a model parameter: output is
-	// byte-identical either way (internal/sim/difftest proves it), so the
-	// experiment cache excludes it from its keys. The escape hatch exists
-	// so the slow path stays testable (-fastpath=false, MOCA_FASTPATH=0).
+	// servicing and compute-run batching; zero value: enabled). An
+	// execution strategy, not a model parameter: output is byte-identical
+	// either way (internal/sim/difftest proves it), so the experiment
+	// cache excludes it from its keys. The escape hatch exists so the
+	// slow path stays testable (-fastpath=false, MOCA_FASTPATH=0).
 	NoFastpath bool
 	// Progress, if non-nil, is called periodically during RunContext with
 	// the whole-run completion (done out of total, in per-core retired
-	// instructions over warmup + measure). The hook runs on the coordinator
-	// goroutine at a window barrier while every shard is quiescent, so it
-	// may read the system (e.g. ObsSnapshot) but must not block: the
-	// simulation does not advance until it returns. Pure observability —
+	// instructions over warmup + measure). The hook runs at a window
+	// barrier, between two windows, so it may read the system (e.g.
+	// ObsSnapshot) but must not block: the simulation does not advance
+	// until it returns. Pure observability —
 	// excluded from serialization and cache keys; the values passed are
 	// deterministic, only their wall-clock timing varies.
 	Progress func(done, total uint64) `json:"-"`
@@ -242,9 +237,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Thresholds.Validate(); err != nil {
 		return err
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("sim: negative shard count %d", c.Shards)
 	}
 	return nil
 }

@@ -1,10 +1,9 @@
-// Package difftest differentially tests the simulator's execution modes:
-// the same configuration is run under two execution strategies — shard
-// counts and/or the common-case fast path — and every observable output —
-// metrics, energy, placement, run trace, even error strings — must
-// match byte-for-byte. A mismatch is minimized to the first diverging
-// field and reported with enough context (tick, component, field) to
-// bisect the ordering bug that caused it.
+// Package difftest differentially tests the simulator's common-case fast
+// path: the same configuration is run with the fast path on and off, and
+// every observable output — metrics, energy, placement, run trace, even
+// error strings — must match byte-for-byte. A mismatch is minimized to the
+// first diverging field and reported with enough context (tick, component,
+// field) to bisect the bug that caused it.
 package difftest
 
 import (
@@ -33,25 +32,10 @@ type Case struct {
 	Measure uint64
 }
 
-// Mode is one execution strategy: a shard count plus the fast-path
-// switch. Every Mode must produce byte-identical output for a given Case.
-type Mode struct {
-	Shards     int
-	NoFastpath bool
-}
-
-func (m Mode) String() string {
-	if m.NoFastpath {
-		return fmt.Sprintf("%d shards/slow", m.Shards)
-	}
-	return fmt.Sprintf("%d shards/fast", m.Shards)
-}
-
-// Divergence pinpoints the first observable difference between two runs of
-// the same case under different execution modes. Nil means byte-identical.
+// Divergence pinpoints the first observable difference between the fast
+// (a) and slow (b) runs of a case. Nil means byte-identical.
 type Divergence struct {
-	Case  string
-	Modes [2]Mode
+	Case string
 	// Path is the JSON path of the first differing field ("error" when the
 	// runs' error strings differ, "trace[i].<field>" for run-trace events).
 	Path string
@@ -72,8 +56,8 @@ func (d *Divergence) String() string {
 	if d.Component != "" || d.TickPs != 0 {
 		loc = fmt.Sprintf(" (tick %d ps, component %q, field %q)", d.TickPs, d.Component, d.Field)
 	}
-	return fmt.Sprintf("%s: %s vs %s diverge at %s%s:\n  a: %s\n  b: %s",
-		d.Case, d.Modes[0], d.Modes[1], d.Path, loc, d.A, d.B)
+	return fmt.Sprintf("%s: fast vs slow path diverge at %s%s:\n  a: %s\n  b: %s",
+		d.Case, d.Path, loc, d.A, d.B)
 }
 
 // outcome captures everything observable about one run.
@@ -83,10 +67,13 @@ type outcome struct {
 	err    string
 }
 
-func execute(c Case, m Mode) (outcome, error) {
+func execute(c Case, noFastpath bool) (outcome, error) {
+	mode := "fast"
+	if noFastpath {
+		mode = "slow"
+	}
 	cfg := c.Cfg
-	cfg.Shards = m.Shards
-	cfg.NoFastpath = m.NoFastpath
+	cfg.NoFastpath = noFastpath
 	cfg.Obs.Metrics = true
 	tr := obs.NewTrace(0)
 	cfg.Obs.Trace = tr
@@ -101,44 +88,37 @@ func execute(c Case, m Mode) (outcome, error) {
 
 	sys, err := sim.New(cfg, procs)
 	if err != nil {
-		return outcome{}, fmt.Errorf("difftest %s: %s: %w", c.Name, m, err)
+		return outcome{}, fmt.Errorf("difftest %s: %s: %w", c.Name, mode, err)
 	}
 	res, err := sys.Run(c.Warmup, c.Measure)
 	if err != nil {
 		// A run error is an outcome to compare, not a harness failure:
-		// both modes must fail identically or not at all.
+		// both paths must fail identically or not at all.
 		return outcome{err: err.Error(), events: tr.Events()}, nil
 	}
 	data, err := json.Marshal(res)
 	if err != nil {
-		return outcome{}, fmt.Errorf("difftest %s: %s: marshal: %w", c.Name, m, err)
+		return outcome{}, fmt.Errorf("difftest %s: %s: marshal: %w", c.Name, mode, err)
 	}
 	return outcome{res: data, events: tr.Events()}, nil
 }
 
-// Run executes the case at both shard counts (fast path on) and returns
-// the minimized first divergence, or nil when the outcomes are
-// byte-identical. The error covers harness failures only (invalid
-// configuration, marshaling).
-func Run(c Case, shardsA, shardsB int) (*Divergence, error) {
-	return RunModes(c, Mode{Shards: shardsA}, Mode{Shards: shardsB})
-}
-
-// RunModes executes the case under both execution modes and returns the
+// Run executes the case with the fast path on and off and returns the
 // minimized first divergence, or nil when the outcomes are byte-identical.
-func RunModes(c Case, ma, mb Mode) (*Divergence, error) {
-	a, err := execute(c, ma)
+// The error covers harness failures only (invalid configuration,
+// marshaling).
+func Run(c Case) (*Divergence, error) {
+	a, err := execute(c, false)
 	if err != nil {
 		return nil, err
 	}
-	b, err := execute(c, mb)
+	b, err := execute(c, true)
 	if err != nil {
 		return nil, err
 	}
 	d := compare(a, b)
 	if d != nil {
 		d.Case = c.Name
-		d.Modes = [2]Mode{ma, mb}
 	}
 	return d, nil
 }
@@ -308,7 +288,7 @@ func (s *sliceStream) Next() (cpu.Instr, bool) {
 
 // FixedStream returns a factory for a stream replaying exactly ins — the
 // matrix uses it for the degenerate empty and single-instruction traces,
-// which must fail with identical quota errors in every execution mode.
+// which must fail with identical quota errors on both paths.
 func FixedStream(ins ...cpu.Instr) func() cpu.Stream {
 	return func() cpu.Stream { return &sliceStream{ins: ins} }
 }

@@ -15,14 +15,13 @@ import (
 // inline-probe path), fresh-line misses (batch abort into the event
 // engine), and far-stride row conflicts (long, windows-spanning memory
 // latencies). The slow path — fast path disabled — must produce
-// byte-identical results for every decoded stream, serially and sharded.
+// byte-identical results for every decoded stream.
 func FuzzFastpathBatching(f *testing.F) {
-	f.Add([]byte{0x00, 0x41, 0x82, 0xc3, 0x04, 0x45, 0x86, 0xc7}, uint8(1))
-	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0x42, 0x13, 0x37}, uint8(4))
-	f.Add([]byte{0x01}, uint8(2))
-	f.Add([]byte{}, uint8(1))
-	f.Fuzz(func(t *testing.T, raw []byte, nshards uint8) {
-		shards := int(nshards%4) + 1
+	f.Add([]byte{0x00, 0x41, 0x82, 0xc3, 0x04, 0x45, 0x86, 0xc7})
+	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0x42, 0x13, 0x37})
+	f.Add([]byte{0x01})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 512 {
 			raw = raw[:512]
 		}
@@ -76,9 +75,7 @@ func FuzzFastpathBatching(f *testing.F) {
 			Measure: total,
 		}
 
-		fast := Mode{Shards: shards}
-		slow := Mode{Shards: 1, NoFastpath: true}
-		d, err := RunModes(c, fast, slow)
+		d, err := Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,9 +12,9 @@ import (
 // instead of silently reused.
 // v2: hashed set-associative TLB (hit/miss counts differ from the old
 // fully-associative LRU) and bounded prefetch usefulness filter.
-// v3: sharded execution engine — every core->channel submission pays a
-// fixed one-window link latency (windowCycles cycles), so memory timing
-// shifts uniformly relative to v2. Identical across all -shards values.
+// v3: windowed execution — every core->channel submission pays a fixed
+// one-window link latency (windowCycles cycles), so memory timing shifts
+// uniformly relative to v2.
 const BehaviorVersion = 3
 
 // resultWire adds the unexported energy accumulators to the wire format so

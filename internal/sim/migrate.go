@@ -127,11 +127,10 @@ func (d *migDriver) startPage(job *copyJob) {
 // copyLine applies the costs of copying one line: shoot it out of every
 // cache (dirty copies must travel with the page) and issue a read of the
 // old frame's line plus a write to the new one. The coordinator queue only
-// runs at window barriers, so the shootdowns have exclusive access to the
-// core shards; the copy traffic crosses to the channel shards through the
-// migration link and stays best-effort under controller backpressure.
-//
-//moca:barrier migration events run on the coordinator queue at barriers
+// runs at window barriers, after every core has finished the window, so
+// the shootdowns never interleave with a core's own cache activity; the
+// copy traffic crosses to the channel queues through the migration link
+// and stays best-effort under controller backpressure.
 func (d *migDriver) copyLine(job *copyJob, off uint64) {
 	s := d.s
 	for _, c := range s.cores {

@@ -1,6 +1,6 @@
 package sim
 
-// Sharded execution (DESIGN.md "Sharded execution").
+// Windowed execution (DESIGN.md "Windowed execution").
 //
 // The system is partitioned into shards that each own a private event
 // queue: one shard per core (cpu, L1/L2, private TLB state) and one per
@@ -8,39 +8,29 @@ package sim
 // windowCycles CPU cycles. Within a window every shard runs alone on its
 // own queue; all cross-shard traffic is staged as timestamped messages and
 // exchanged only at the window boundary, merged in a fixed deterministic
-// order (at, source shard, per-source sequence). Serial mode (Shards <= 1)
-// and parallel mode (Shards > 1) execute the exact same phase code — the
-// only difference is whether shard work runs inline or on worker
-// goroutines — which is why golden output is byte-identical across -shards
-// values (proven by internal/sim/difftest).
+// order (at, source shard, per-source sequence).
 //
-// The window invariant that makes conservative lookahead work: every
-// core->channel submission traverses a link with a fixed latency of one
-// window, so a message staged at local time t carries effect time
-// t+window >= windowEnd and always lands in a strictly later channel
-// window. Channel->core completions need no added latency because channel
-// shards run their half of window k before core shards do: a fill
-// completed at time t in [T, T+W) is posted into the owning core's queue
-// before that core executes cycle t.
+// The window invariant: every core->channel submission traverses a link
+// with a fixed latency of one window, so a message staged at local time t
+// carries effect time t+window >= windowEnd and always lands in a strictly
+// later channel window. Channel->core completions need no added latency
+// because channel shards run their half of window k before core shards
+// do: a fill completed at time t in [T, T+W) is posted into the owning
+// core's queue before that core executes cycle t.
 
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"moca/internal/event"
 	"moca/internal/mem"
 	"moca/internal/obs"
 )
 
-// windowCycles is the conservative time-window length in CPU cycles. It is
-// also the modeled interconnect latency of the core->channel link, so it
-// must be identical across shard counts (it shapes timing, not just
-// scheduling).
+// windowCycles is the time-window length in CPU cycles. It is also the
+// modeled interconnect latency of the core->channel link, so it shapes
+// timing, not just scheduling.
 const windowCycles = 8
 
 // chanRetryGap is the backoff, in CPU cycles, before a channel shard
@@ -67,8 +57,6 @@ type linkMsg struct {
 // and (for the migration engine) copy traffic through. It never exerts
 // backpressure: rejection and retry live channel-side, after the message
 // has paid the link latency.
-//
-//moca:shard core
 type shardLink struct {
 	q      *event.Queue
 	route  *router
@@ -111,8 +99,6 @@ const (
 // applies barrier-merged submissions at their exact effect times, holds
 // rejected ones in an arrival-ordered pending queue with paced retries,
 // and stages completions for the coordinator to post back to core queues.
-//
-//moca:shard channel
 type chanShard struct {
 	idx   int
 	q     *event.Queue
@@ -134,8 +120,6 @@ type chanShard struct {
 	copyDrops uint64
 	reg       *obs.Registry
 	dropCtr   *obs.Counter
-
-	err error // shard panic, keyed by the coordinator
 }
 
 // chanSink stages one core's completions on its channel shard.
@@ -228,9 +212,7 @@ func (cs *chanShard) drainPending(now event.Time) {
 
 // dropCopy records one migration copy abandoned under backpressure. The
 // counter is registered lazily on the first drop so runs that never drop
-// keep their metrics snapshots unchanged; the increment order across
-// shards is irrelevant because counter addition commutes, so the snapshot
-// stays byte-identical across shard counts (difftest proves parity).
+// keep their metrics snapshots unchanged.
 func (cs *chanShard) dropCopy() {
 	cs.copyDrops++
 	if cs.reg != nil {
@@ -244,8 +226,6 @@ func (cs *chanShard) dropCopy() {
 // MigrationCopyDrops sums abandoned migration copies across channels
 // (whole run, including warmup; the obs counter covers the measured
 // window only).
-//
-//moca:barrier reads channel-shard counters; callers run between phases
 func (s *System) MigrationCopyDrops() uint64 {
 	var n uint64
 	for _, cs := range s.chans {
@@ -275,151 +255,9 @@ func (c *coreCtx) OnEvent(now event.Time, op int32, i64 int64, _ any) {
 	}
 }
 
-// faultGate serializes page faults — the only mid-window cross-shard
-// operation — into ascending (cycle, core) order, the same order the
-// serial lockstep loop produces naturally. clocks[i] holds the first cycle
-// core i has NOT yet completed; a core about to fault at cycle t spins
-// until every lower-indexed core has finished cycle t and every
-// higher-indexed core has at least finished cycle t-1, which makes it the
-// unique minimum of the (cycle, core) fault order and implies exclusive
-// access. Deadlock-free by induction on that order: the minimal pending
-// fault's condition only waits on cores that fault later or not at all.
-type faultGate struct {
-	on     bool
-	clocks []atomic.Int64
-}
-
-func newFaultGate(cores int, on bool) *faultGate {
-	return &faultGate{on: on, clocks: make([]atomic.Int64, cores)}
-}
-
-// wait blocks until core's page fault at its current cycle is ordered
-// first among all outstanding work. No-op in serial mode.
-func (g *faultGate) wait(core int) {
-	if !g.on {
-		return
-	}
-	t := g.clocks[core].Load()
-	for j := range g.clocks {
-		if j == core {
-			continue
-		}
-		need := t
-		if j < core {
-			need = t + 1 // lower-indexed cores must have completed cycle t
-		}
-		cj := &g.clocks[j]
-		spinWait(func() bool { return cj.Load() >= need })
-	}
-}
-
-// spinWait spins until cond holds: a short tight spin first (barriers open
-// within nanoseconds when every shard has a hardware thread), then yielding
-// to the scheduler so oversubscribed machines make progress instead of
-// burning whole quanta.
-func spinWait(cond func() bool) {
-	for i := 0; i < 64; i++ {
-		if cond() {
-			return
-		}
-	}
-	for !cond() {
-		runtime.Gosched()
-	}
-}
-
-// shardPool runs phase jobs on persistent worker goroutines synchronized
-// by a generation-counted spin barrier: one atomic bump dispatches a
-// phase, one per-worker increment reports completion. Workers spin-wait
-// between phases, so dispatch latency is a cache-miss, not a scheduler
-// wakeup.
-type shardPool struct {
-	workers int
-	gen     atomic.Int64
-	done    atomic.Int64
-	job     func(w int)
-	panics  []error
-	wg      sync.WaitGroup
-}
-
-func newShardPool(workers int) *shardPool {
-	p := &shardPool{workers: workers, panics: make([]error, workers)}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go p.loop(w)
-	}
-	return p
-}
-
-func (p *shardPool) loop(w int) {
-	defer p.wg.Done()
-	seen := int64(0)
-	for {
-		spinWait(func() bool { return p.gen.Load() != seen })
-		seen++
-		job := p.job
-		if job == nil {
-			return
-		}
-		p.runJob(w, job)
-		p.done.Add(1)
-	}
-}
-
-// runJob is the backstop recovery: shard jobs recover their own panics
-// into keyed per-shard errors, so anything landing here is a harness bug —
-// but it must still count the worker done or the barrier would deadlock.
-func (p *shardPool) runJob(w int, job func(int)) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.panics[w] = fmt.Errorf("sim: shard worker %d: panic: %v", w, r)
-		}
-	}()
-	job(w)
-}
-
-// run dispatches job to every worker and blocks until all complete. It
-// returns the lowest-indexed worker's escaped panic, if any.
-func (p *shardPool) run(job func(w int)) error {
-	p.job = job
-	g := p.gen.Add(1)
-	spinWait(func() bool { return p.done.Load() >= g*int64(p.workers) })
-	var err error
-	for w, pe := range p.panics {
-		if pe != nil {
-			if err == nil {
-				err = pe
-			}
-			p.panics[w] = nil
-		}
-	}
-	return err
-}
-
-func (p *shardPool) stop() {
-	if p == nil {
-		return
-	}
-	p.job = nil
-	p.gen.Add(1)
-	p.wg.Wait()
-}
-
-// setWindow overrides the window length (tests only: barrier-storm stress
-// uses single-cycle windows). The link latency tracks the window, so
-// serial/sharded comparisons must use the same value on both systems.
-func (s *System) setWindow(w event.Time) {
-	s.window = w
-	for _, l := range s.links {
-		l.delay = w
-	}
-}
-
 // runPhase advances the system in windows until every core has retired
 // target instructions beyond its current count, calling onCross(core, at)
 // once per core at its exact crossing cycle.
-//
-//moca:barrier coordinator loop: owns every shard between phase dispatches
 func (s *System) runPhase(ctx context.Context, target uint64, onCross func(*coreCtx, event.Time)) error {
 	if target == 0 {
 		return nil
@@ -432,7 +270,6 @@ func (s *System) runPhase(ctx context.Context, target uint64, onCross func(*core
 		c.tickAt = s.simNow
 	}
 	s.phaseTarget = target
-	s.phaseOnCross = onCross
 	remaining := len(s.cores)
 	done := ctx.Done()
 	// Watchdog: generous IPC floor of 1/400 plus fixed slack.
@@ -469,9 +306,7 @@ func (s *System) runPhase(ctx context.Context, target uint64, onCross func(*core
 		// Phase B: completed requests enter core queues at exact times.
 		s.distributeFills()
 		// Phase C: core shards run the window cycle by cycle.
-		if err := s.runCorePhase(windowEnd); err != nil {
-			return err
-		}
+		s.coreWindow(windowEnd, target, onCross)
 		// Phase D: barrier. The coordinator queue (migration epochs and
 		// copy pacing) runs first so its staged traffic joins this merge.
 		if we := windowEnd - 1; s.q.QuietUntil(we) {
@@ -505,10 +340,7 @@ func (s *System) runPhase(ctx context.Context, target uint64, onCross func(*core
 
 // reportProgress invokes the Progress hook with the run's completion so
 // far: the slowest core's clamped per-phase progress plus the credit from
-// completed phases. Runs on the coordinator goroutine at a window barrier,
-// so reading core state is safe.
-//
-//moca:barrier coordinator-only; every shard is quiescent between windows
+// completed phases. Runs at a window barrier.
 func (s *System) reportProgress() {
 	min := s.phaseTarget
 	for _, c := range s.cores {
@@ -531,130 +363,85 @@ func (s *System) reportProgress() {
 
 // ObsSnapshot captures the live metrics registry (nil-safe: empty when
 // metrics are disabled). Safe only from a Config.Progress callback — which
-// runs at a window barrier with every shard quiescent — or after the run
-// returns; calling it from another goroutine mid-run is a data race.
+// runs at a window barrier — or after the run returns; calling it from
+// another goroutine mid-run is a data race.
 func (s *System) ObsSnapshot() *obs.Snapshot {
 	return s.reg.Snapshot()
 }
 
 // runChannelPhase drains every channel shard's queue up to the window
-// horizon, in parallel when a pool is attached. The window parameters
-// travel through phase fields so dispatch reuses the hoisted s.chanJob
-// closure instead of allocating one per window.
+// horizon. When no channel has anything due this window the pass is a
+// pure clock advance, so the recover scaffolding and per-shard RunUntil
+// calls in chanWindow are elided.
 func (s *System) runChannelPhase(windowEnd event.Time) error {
-	s.phaseWindowEnd = windowEnd
-	if s.pool == nil {
-		// Serial quiet skip: when no channel has anything due this window
-		// the pass is a pure clock advance, so the recover scaffolding and
-		// per-shard RunUntil calls in chanWindow can be elided.
-		we := windowEnd - 1
-		quiet := true
-		for _, cs := range s.chans {
-			if !cs.q.QuietUntil(we) {
-				quiet = false
-				break
-			}
+	we := windowEnd - 1
+	for _, cs := range s.chans {
+		if !cs.q.QuietUntil(we) {
+			return s.chanWindow(we)
 		}
-		if quiet {
-			for _, cs := range s.chans {
-				cs.q.AdvanceTo(we)
-			}
-			return nil
-		}
-		s.chanWindow(0, 1)
-	} else if err := s.pool.run(s.chanJob); err != nil {
-		return err
 	}
 	for _, cs := range s.chans {
-		if cs.err != nil {
-			return cs.err
-		}
+		cs.q.AdvanceTo(we)
 	}
 	return nil
 }
 
-// chanWindow runs the channel shards owned by worker w (indices congruent
-// to w modulo stride) through the window set in s.phaseWindowEnd. One
-// recover covers the whole batch (a panic is attributed to the shard that
+// chanWindow runs every channel shard up to the inclusive bound we. One
+// recover covers the whole pass (a panic is attributed to the shard that
 // was running); idle shards — empty queue, an idle controller by
 // construction — are skipped without touching their clocks, which is safe
 // because every post into a channel queue carries an absolute future time.
-func (s *System) chanWindow(w, stride int) {
+func (s *System) chanWindow(we event.Time) (err error) {
 	cur := -1
 	defer func() {
 		if r := recover(); r != nil {
 			cs := s.chans[cur]
-			cs.err = fmt.Errorf("sim: %s: channel shard %s: panic: %v", s.cfg.Name, cs.ctrl.Name, r)
+			err = fmt.Errorf("sim: %s: channel shard %s: panic: %v", s.cfg.Name, cs.ctrl.Name, r)
 		}
 	}()
-	for ci := w; ci < len(s.chans); ci += stride {
-		cs := s.chans[ci]
+	for ci, cs := range s.chans {
 		cur = ci
 		// Quiet guard: most windows a channel only holds a wake scheduled
 		// beyond the bound, and the inlined check replaces the call.
-		if we := s.phaseWindowEnd - 1; cs.q.QuietUntil(we) {
+		if cs.q.QuietUntil(we) {
 			cs.q.AdvanceTo(we)
 		} else {
 			cs.q.RunUntil(we)
 		}
 	}
-}
-
-// runCorePhase runs every core shard through the window. Each worker
-// advances its owned cores in lockstep, one cycle at a time in ascending
-// core order, so page faults occur in (cycle, core) order on every worker
-// layout — including the serial single-worker one — and the fault gate's
-// spin condition can always be satisfied.
-//
-//moca:barrier dispatches core shards and reaps their per-core errors
-func (s *System) runCorePhase(windowEnd event.Time) error {
-	s.phaseWindowEnd = windowEnd
-	if s.pool == nil {
-		s.coreWindow(0, 1)
-	} else if err := s.pool.run(s.coreJob); err != nil {
-		return err
-	}
 	return nil
 }
 
-// coreWindow advances the cores owned by worker w (core indices congruent
-// to w modulo stride) through one window (s.phaseWindowEnd; quota and
-// crossing callback travel through s.phaseTarget / s.phaseOnCross). A
-// panicking core shard is recovered into a keyed error on that core; the
-// worker's remaining cores skip the rest of the window and every owned
-// clock is released so no other shard's fault gate can deadlock on the
-// dying worker.
+// coreWindow advances every core shard through the window ending at
+// windowEnd, in lockstep, one cycle at a time in ascending core order, so
+// page faults occur in (cycle, core) order. target is the phase quota and
+// onCross the crossing callback. A panicking core shard is recovered into
+// a keyed error on that core; the remaining cores skip the rest of the
+// window and the run fails at the barrier.
 //
 // With the fast path on, a core may batch ahead of the lockstep cycle t:
 // c.tickAt is its private clock cursor (the next cycle it still has to
 // execute), and cycles below it are skipped. Batched spans are proven
-// fault-free (no memory ops, no translations), so publishing the gate
-// clock for the whole span at once cannot reorder any page fault.
-func (s *System) coreWindow(w, stride int) {
-	windowEnd := s.phaseWindowEnd
-	target := s.phaseTarget
-	onCross := s.phaseOnCross
+// fault-free (no memory ops, no translations), so skipping them cannot
+// reorder any page fault.
+func (s *System) coreWindow(windowEnd event.Time, target uint64, onCross func(*coreCtx, event.Time)) {
 	cur := -1
 	defer func() {
 		if r := recover(); r != nil {
 			c := s.cores[cur]
 			c.runErr = fmt.Errorf("sim: %s: core shard %d (%s): panic: %v", s.cfg.Name, cur, c.app.Spec.Name, r)
 			c.dead = true
-			for i := w; i < len(s.cores); i += stride {
-				s.gate.clocks[i].Store(math.MaxInt64)
-			}
 		}
 	}()
 	for t := windowEnd - s.window; t < windowEnd; {
-		// next is the earliest cycle any owned core still has to execute:
-		// when every core is batched ahead of t the loop jumps straight to
-		// it instead of walking the skipped cycles one by one. A core's
-		// queue holds no events inside its batched span (tryBatch bounded
-		// the batch by NextTime and nothing external posts mid-phase), so
-		// the jump cannot run an event late.
+		// next is the earliest cycle any core still has to execute: when
+		// every core is batched ahead of t the loop jumps straight to it
+		// instead of walking the skipped cycles one by one. A core's queue
+		// holds no events inside its batched span (tryBatch bounded the
+		// batch by NextTime and nothing external posts mid-phase), so the
+		// jump cannot run an event late.
 		next := windowEnd
-		for i := w; i < len(s.cores); i += stride {
-			c := s.cores[i]
+		for i, c := range s.cores {
 			if c.dead {
 				continue
 			}
@@ -671,7 +458,7 @@ func (s *System) coreWindow(w, stride int) {
 				c.q.RunUntil(t)
 			}
 			if s.fastpath {
-				if n := s.tryBatch(c, i, t, windowEnd, target, onCross); n > 0 {
+				if n := s.tryBatch(c, t, windowEnd, target, onCross); n > 0 {
 					if c.tickAt < next {
 						next = c.tickAt
 					}
@@ -681,9 +468,6 @@ func (s *System) coreWindow(w, stride int) {
 			c.core.TickAt(t)
 			c.tickAt = t + s.cycle
 			next = t + s.cycle
-			if s.gate.on {
-				s.gate.clocks[i].Store(int64(t + s.cycle))
-			}
 			if err := c.core.Err(); err != nil {
 				c.fail(s, i, err)
 				continue
@@ -711,8 +495,7 @@ func (s *System) coreWindow(w, stride int) {
 		}
 		t = next
 	}
-	for i := w; i < len(s.cores); i += stride {
-		c := s.cores[i]
+	for i, c := range s.cores {
 		if c.dead {
 			continue
 		}
@@ -727,13 +510,10 @@ func (s *System) coreWindow(w, stride int) {
 		} else {
 			c.q.RunUntil(we)
 		}
-		if s.gate.on {
-			s.gate.clocks[i].Store(int64(windowEnd))
-		}
 	}
 }
 
-// tryBatch retires a run of cycles for core i in one call, starting at
+// tryBatch retires a run of cycles for core c in one call, starting at
 // cycle t. The batch is bounded by the window barrier and by the core's
 // next queued event (NextTime deliberately ignores virtual events: an
 // inline hit matures by clock comparison, not by an event run). The budget
@@ -743,7 +523,7 @@ func (s *System) coreWindow(w, stride int) {
 // normal tick).
 //
 //moca:hotpath
-func (s *System) tryBatch(c *coreCtx, i int, t, windowEnd event.Time, target uint64, onCross func(*coreCtx, event.Time)) int {
+func (s *System) tryBatch(c *coreCtx, t, windowEnd event.Time, target uint64, onCross func(*coreCtx, event.Time)) int {
 	end := windowEnd
 	if nt, ok := c.q.NextTime(); ok && nt < end {
 		end = nt
@@ -760,9 +540,6 @@ func (s *System) tryBatch(c *coreCtx, i int, t, windowEnd event.Time, target uin
 		return 0
 	}
 	c.tickAt = t + event.Time(n)*s.cycle
-	if s.gate.on {
-		s.gate.clocks[i].Store(int64(c.tickAt))
-	}
 	if retired > 0 && !c.crossed && c.core.Instructions()-c.base >= target {
 		c.crossed = true
 		if onCross != nil {
@@ -772,19 +549,16 @@ func (s *System) tryBatch(c *coreCtx, i int, t, windowEnd event.Time, target uin
 	return n
 }
 
-// fail marks the core dead with a keyed error and releases its gate clock.
+// fail marks the core dead with a keyed error.
 func (c *coreCtx) fail(s *System, i int, err error) {
 	c.runErr = fmt.Errorf("sim: %s core %d (%s): %w", s.cfg.Name, i, c.app.Spec.Name, err)
 	c.dead = true
-	s.gate.clocks[i].Store(math.MaxInt64)
 }
 
 // distributeFills posts every completion the channel shards staged into
 // the owning cores' queues, merged across channels by (at, channel, seq)
 // so insertion order — and therefore same-timestamp execution order — is
 // deterministic.
-//
-//moca:barrier merges channel-shard completions into core-shard queues
 func (s *System) distributeFills() {
 	total := 0
 	for _, cs := range s.chans {
@@ -835,10 +609,7 @@ func chanFillLess(a, b chanFill) bool {
 // mergeCrossings applies every staged core->channel (and migration)
 // submission to its channel shard in (at, source shard, seq) order: the
 // window-merge contract the fuzz target locks down. The migration
-// monitor's access counter fires here too, in merged order, so epoch
-// decisions are identical across shard counts.
-//
-//moca:barrier merges core-shard link traffic into channel-shard queues
+// monitor's access counter fires here too, in merged order.
 func (s *System) mergeCrossings() {
 	staged := 0
 	for _, l := range s.links {
@@ -873,8 +644,7 @@ func (s *System) mergeCrossings() {
 
 // mergeWindow collects channel ci's staged messages from every link,
 // clears the stages, and returns them sorted by (at, src, seq). The result
-// is a pure function of the per-link message sets: worker completion order
-// cannot influence it (FuzzWindowMerge).
+// is a pure function of the per-link message sets (FuzzWindowMerge).
 func mergeWindow(dst []linkMsg, links []*shardLink, ci int) []linkMsg {
 	for _, l := range links {
 		dst = append(dst, l.out[ci]...)
@@ -906,8 +676,6 @@ func linkMsgLess(a, b linkMsg) bool {
 }
 
 // bpFor sums core's channel-side rejected submissions across channels.
-//
-//moca:barrier reads channel-shard counters; runs only between phases
 func (s *System) bpFor(core int) uint64 {
 	var n uint64
 	for _, cs := range s.chans {
@@ -918,8 +686,6 @@ func (s *System) bpFor(core int) uint64 {
 
 // resetShardStats clears the window-accounting the shards accumulate on
 // behalf of core statistics (the warmup/measure boundary).
-//
-//moca:barrier resets channel-shard counters between phases
 func (s *System) resetShardStats() {
 	for _, cs := range s.chans {
 		for i := range cs.bp {
@@ -931,9 +697,7 @@ func (s *System) resetShardStats() {
 // flushTrace merges the per-shard run-trace stages into the user's sink in
 // (timestamp, stage, staging order) order. Stage IDs are fixed (0 =
 // OS/coordinator, then cores, then channels), so the merged stream is a
-// pure function of per-stage content — identical across shard counts.
-//
-//moca:barrier merges per-shard trace stages after the run completes
+// pure function of per-stage content.
 func (s *System) flushTrace() {
 	if s.runTrace == nil || len(s.traceStages) == 0 {
 		return

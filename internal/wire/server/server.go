@@ -51,8 +51,6 @@ type Config struct {
 	// them zero (0 = 300_000 each, the paper defaults).
 	Measure       uint64
 	ProfileWindow uint64
-	// Shards is the per-simulation worker count (sim.Config.Shards).
-	Shards int
 	// Cache, if non-nil, is the persistent result/profile cache shared by
 	// every runner.
 	Cache *exp.RunCache
@@ -166,7 +164,6 @@ func (s *Server) runner(key runnerKey) *exp.Runner {
 	r.Measure = key.measure
 	r.FW.ProfileWindow = key.window
 	r.Obs = obs.Options{Metrics: key.metrics}
-	r.Shards = s.cfg.Shards
 	r.Cache = s.cfg.Cache
 	r.Ctx = s.hardCtx
 	r.OnProgress = s.hub.tick
