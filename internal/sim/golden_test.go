@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"moca/internal/classify"
+	"moca/internal/event"
 	"moca/internal/heap"
 	"moca/internal/mem"
 	"moca/internal/obs"
@@ -66,11 +67,14 @@ func goldenFrom(res *Result) goldenRecord {
 }
 
 // goldenCases are the reference configurations: the simplest homogeneous
-// baseline and a full MOCA heterogeneous run with hand-built classes.
+// baseline and a full MOCA heterogeneous run with hand-built classes, each
+// single-core, plus two four-core mixes that pin the cross-core order of
+// link deliveries and fills. The migration mix uses a short epoch so that
+// each epoch's per-page access counts shape the promotions it makes.
 func goldenCases(t *testing.T) []struct {
-	name string
-	cfg  Config
-	proc ProcSpec
+	name  string
+	cfg   Config
+	procs []ProcSpec
 } {
 	disparity := workload.Disparity()
 	cm := classMapFor(t, disparity, map[string]classify.Class{
@@ -78,23 +82,43 @@ func goldenCases(t *testing.T) []struct {
 		"disparity_map": classify.LatencySensitive,
 		"kernel_buf":    classify.NonIntensive,
 	})
+	mix4 := func() []ProcSpec {
+		return []ProcSpec{
+			{App: workload.MCF(), Input: workload.Ref},
+			{App: workload.Milc(), Input: workload.Ref},
+			{App: workload.LBM(), Input: workload.Ref},
+			{App: workload.GCC(), Input: workload.Ref},
+		}
+	}
+	migrate := DefaultConfig("migrate", Heterogeneous(Config1), PolicyMigrate)
+	migrate.MigrationEpoch = 10 * event.Microsecond
 	return []struct {
-		name string
-		cfg  Config
-		proc ProcSpec
+		name  string
+		cfg   Config
+		procs []ProcSpec
 	}{
 		{
-			name: "homogen-ddr3-mcf",
-			cfg:  DefaultConfig("homogen-ddr3", Homogeneous(mem.DDR3), PolicyFixed),
-			proc: ProcSpec{App: workload.MCF(), Input: workload.Ref},
+			name:  "homogen-ddr3-mcf",
+			cfg:   DefaultConfig("homogen-ddr3", Homogeneous(mem.DDR3), PolicyFixed),
+			procs: []ProcSpec{{App: workload.MCF(), Input: workload.Ref}},
 		},
 		{
 			name: "moca-config1-disparity",
 			cfg:  DefaultConfig("moca", Heterogeneous(Config1), PolicyMOCA),
-			proc: ProcSpec{
+			procs: []ProcSpec{{
 				App: disparity, Input: workload.Ref,
 				Classes: cm, AppClass: classify.LatencySensitive,
-			},
+			}},
+		},
+		{
+			name:  "homogen-ddr3-mix4",
+			cfg:   DefaultConfig("homogen-ddr3", Homogeneous(mem.DDR3), PolicyFixed),
+			procs: mix4(),
+		},
+		{
+			name:  "migrate10us-config1-mix4",
+			cfg:   migrate,
+			procs: mix4(),
 		},
 	}
 }
@@ -113,7 +137,7 @@ func TestGoldenRuns(t *testing.T) {
 			// engine: CI reruns this suite with MOCA_FASTPATH=0 so the
 			// slow path can never rot while the fast path is the default.
 			cfg.NoFastpath = os.Getenv("MOCA_FASTPATH") == "0"
-			sys, err := New(cfg, []ProcSpec{tc.proc})
+			sys, err := New(cfg, tc.procs)
 			if err != nil {
 				t.Fatal(err)
 			}
