@@ -496,7 +496,7 @@ func (c *Core) nextDependentWaiting(idx int) bool {
 //
 // Batched cycles post no events, fault no pages, and never touch the
 // stream, so they are invisible to every other shard; the caller bounds end
-// by the next queued event and the window barrier, and budget (remaining
+// by the next queued event and the window end, and budget (remaining
 // instructions to its quota crossing) stops the batch on the exact crossing
 // cycle. Memory instructions, stream refills, and everything else fall back
 // to per-cycle Ticks. Returns the number of cycles advanced; stats are

@@ -146,7 +146,7 @@ type Runner struct {
 	// OnProgress, if non-nil, receives periodic completion ticks for every
 	// simulation this runner actually executes, keyed by the run's memo key
 	// ("System|single/app" or "System|mix/name"). snap lazily captures the
-	// live metrics snapshot at the tick's window barrier and must only be
+	// live metrics snapshot at the tick's window boundary and must only be
 	// called from inside the callback. Invoked on the flight goroutine, so
 	// it must be fast and concurrency-safe; cache hits produce no ticks.
 	// Pure observability: it never affects results or cache keys.

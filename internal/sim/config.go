@@ -1,9 +1,10 @@
 // Package sim assembles the full system: cores with private cache
 // hierarchies, an OS with a placement policy, per-module frame pools, and
-// one memory controller per channel, all driven by a single deterministic
-// event queue. It reproduces the paper's simulation methodology (Section
-// V): warm-up then a measured window, per-core instruction quotas, and
-// memory/system metrics per run.
+// one memory controller per channel. One goroutine drives them through
+// deterministic event queues (one per core, one per channel and one for
+// the coordinator) advanced in fixed windows. It reproduces the paper's
+// simulation methodology (Section V): warm-up then a measured window,
+// per-core instruction quotas, and memory/system metrics per run.
 package sim
 
 import (
@@ -108,10 +109,10 @@ type Config struct {
 	NoFastpath bool
 	// Progress, if non-nil, is called periodically during RunContext with
 	// the whole-run completion (done out of total, in per-core retired
-	// instructions over warmup + measure). The hook runs at a window
-	// barrier, between two windows, so it may read the system (e.g.
-	// ObsSnapshot) but must not block: the simulation does not advance
-	// until it returns. Pure observability —
+	// instructions over warmup + measure). The hook runs between two
+	// windows, so it may read the system (e.g. ObsSnapshot) but must not
+	// block: the simulation does not advance until it returns. Pure
+	// observability —
 	// excluded from serialization and cache keys; the values passed are
 	// deterministic, only their wall-clock timing varies.
 	Progress func(done, total uint64) `json:"-"`

@@ -31,7 +31,7 @@ func FuzzFastpathBatching(f *testing.F) {
 		// bits pick the instruction shape. last tracks the previous
 		// load so "hit" steps re-touch a line that is warm by
 		// construction, while the far stride hops DRAM rows to make
-		// the miss latency span window barriers.
+		// the miss latency span window boundaries.
 		var ins []cpu.Instr
 		var total uint64
 		last := uint64(1 << 20)

@@ -126,11 +126,11 @@ func (d *migDriver) startPage(job *copyJob) {
 
 // copyLine applies the costs of copying one line: shoot it out of every
 // cache (dirty copies must travel with the page) and issue a read of the
-// old frame's line plus a write to the new one. The coordinator queue only
-// runs at window barriers, after every core has finished the window, so
-// the shootdowns never interleave with a core's own cache activity; the
-// copy traffic crosses to the channel queues through the migration link
-// and stays best-effort under controller backpressure.
+// old frame's line plus a write to the new one. The coordinator queue runs
+// last in each window, after every core has finished it, so the shootdowns
+// never interleave with a core's own cache activity; the copy traffic
+// reaches the channel queues one link latency later through the migration
+// link and stays best-effort under controller backpressure.
 func (d *migDriver) copyLine(job *copyJob, off uint64) {
 	s := d.s
 	for _, c := range s.cores {

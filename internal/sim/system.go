@@ -24,8 +24,8 @@ type router struct {
 	base  []int    // per module: first global channel index
 	nchan []int    // per module: channel count
 	gran  []uint64 // per module: interleave granularity
-	// onAccess, if set, observes every merged request at the window
-	// barrier (the migration monitor's per-page access counter).
+	// onAccess, if set, observes every request as it is delivered to its
+	// channel (the migration monitor's per-page access counter).
 	onAccess func(paddr uint64)
 }
 
@@ -51,7 +51,6 @@ func (r *router) locate(lineAddr uint64) (ch int, local uint64) {
 type coreCtx struct {
 	proc      int
 	q         *event.Queue
-	link      *shardLink
 	app       *workload.App
 	core      *cpu.Core
 	hier      *cache.Hierarchy
@@ -86,11 +85,9 @@ type System struct {
 
 	cores []*coreCtx
 	chans []*chanShard
-	links []*shardLink // per core, plus the migration link last
 
 	modules  []*vm.Module
 	os       *alloc.OS
-	channels []*mem.Controller
 	chanCaps []uint64
 	route    *router
 	migrator *alloc.Migrator // nil unless PolicyMigrate
@@ -106,9 +103,6 @@ type System struct {
 	runTrace    *obs.Trace
 	traceStages []*obs.Trace
 	coordTrace  *obs.Trace
-
-	linkScratch []linkMsg
-	fillScratch []chanFill
 
 	// Progress reporting (active only when cfg.Progress is set): base is
 	// the instruction credit from completed phases, total the whole run's
@@ -171,8 +165,11 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 		return s.traceStages[1+len(procs)+ci]
 	}
 
-	// Memory modules, channel shards, and the router.
+	// Memory modules, channel shards, and the router. Every channel hands
+	// its completions to the core shards through sinks, filled in as the
+	// cores are built below.
 	s.route = &router{}
+	sinks := make([]mem.DoneSink, len(procs))
 	var infos []alloc.ModuleInfo
 	for i, spec := range cfg.Modules {
 		m, err := vm.NewModule(i, spec.Kind, spec.CapacityBytes)
@@ -184,18 +181,18 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 
 		dev := mem.Preset(spec.Kind)
 		perChan := spec.CapacityBytes / uint64(spec.Channels)
-		s.route.base = append(s.route.base, len(s.channels))
+		s.route.base = append(s.route.base, len(s.chans))
 		s.route.nchan = append(s.route.nchan, spec.Channels)
 		s.route.gran = append(s.route.gran, uint64(dev.Geometry.RowBufferBytes))
 		for ch := 0; ch < spec.Channels; ch++ {
 			name := fmt.Sprintf("%s-m%d-ch%d", spec.Kind, i, ch)
 			ci := len(s.chans)
-			cs, err := newChanShard(ci, func(q *event.Queue) (*mem.Controller, error) {
+			cs, err := newChanShard(func(q *event.Queue) (*mem.Controller, error) {
 				return mem.NewController(name, q, mem.ChannelConfig{
 					Device: dev, CapacityBytes: perChan, Scheduler: cfg.Scheduler,
 					RowPolicy: cfg.RowPolicy, BankStripe: cfg.BankStripe,
 				})
-			}, len(procs), s.cycle)
+			}, s.route, sinks, s.cycle)
 			if err != nil {
 				return nil, err
 			}
@@ -205,7 +202,6 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 				cs.reg = s.reg
 			}
 			s.chans = append(s.chans, cs)
-			s.channels = append(s.channels, cs.ctrl)
 			s.chanCaps = append(s.chanCaps, perChan)
 		}
 	}
@@ -256,7 +252,7 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 		if cfg.Obs.Enabled() {
 			cq.AttachObs(s.reg)
 		}
-		link := &shardLink{q: cq, route: s.route, delay: s.window, src: i, out: make([][]linkMsg, totalChannels)}
+		link := &shardLink{q: cq, route: s.route, chans: s.chans, delay: s.window}
 		hcfg := cache.HierarchyConfig{L1: cfg.CacheL1, L2: cfg.CacheL2, CPUCycle: cfg.Core.Cycle, Core: i, Prefetch: cfg.Prefetch}
 		hier, err := cache.NewHierarchy(cq, link, hcfg)
 		if err != nil {
@@ -275,7 +271,7 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 		}
 		core.SetFastpath(s.fastpath)
 
-		ctx := &coreCtx{proc: i, q: cq, link: link, app: app, core: core, hier: hier, allocator: allocator, stream: stream}
+		ctx := &coreCtx{proc: i, q: cq, app: app, core: core, hier: hier, allocator: allocator, stream: stream}
 		if cfg.Profile {
 			prof := profile.New()
 			ctx.profiler = prof
@@ -286,13 +282,12 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 			hier.OnLoad = prof.OnLoad
 		}
 		s.cores = append(s.cores, ctx)
-		s.links = append(s.links, link)
+		sinks[i] = ctx
 	}
 
-	// The migration engine's copy traffic crosses barriers like any core's
-	// demand traffic, through its own link on the coordinator queue.
-	s.migLink = &shardLink{q: s.q, route: s.route, delay: s.window, src: len(procs), out: make([][]linkMsg, totalChannels)}
-	s.links = append(s.links, s.migLink)
+	// The migration engine's copy traffic crosses to the channels like any
+	// core's demand traffic, through its own link on the coordinator queue.
+	s.migLink = &shardLink{q: s.q, route: s.route, chans: s.chans, delay: s.window}
 
 	if cfg.Policy == PolicyMigrate {
 		if err := s.setupMigration(cfg, infos); err != nil {
@@ -336,9 +331,9 @@ func (s *System) Run(warmup, measure uint64) (*Result, error) {
 	return s.RunContext(context.Background(), warmup, measure)
 }
 
-// RunContext is Run with cancellation: the simulation loop polls ctx at
-// every window barrier and returns ctx.Err() promptly when it fires, so
-// an in-flight run can be abandoned cleanly (Ctrl-C in the commands).
+// RunContext is Run with cancellation: the simulation loop polls ctx
+// between every two windows and returns ctx.Err() promptly when it fires,
+// so an in-flight run can be abandoned cleanly (Ctrl-C in the commands).
 // Cancellation never perturbs a run that completes: the poll is a
 // read-only check between deterministic windows.
 func (s *System) RunContext(ctx context.Context, warmup, measure uint64) (*Result, error) {
@@ -355,16 +350,16 @@ func (s *System) RunContext(ctx context.Context, warmup, measure uint64) (*Resul
 		c.core.ResetStats()
 		c.hier.ResetStats()
 	}
-	for _, ch := range s.channels {
-		ch.ResetStats()
+	for _, cs := range s.chans {
+		cs.ctrl.ResetStats()
 	}
 	s.resetShardStats()
 	// The observability snapshot covers the same measured window as the
 	// component stats (nil-safe when metrics are disabled). Controllers
 	// first flush their virtual-tick accounts so the event counters read
 	// as if every device clock had been polled.
-	for _, ch := range s.channels {
-		ch.SyncObs()
+	for _, cs := range s.chans {
+		cs.ctrl.SyncObs()
 	}
 	s.reg.Reset()
 	start := s.simNow
@@ -378,8 +373,8 @@ func (s *System) RunContext(ctx context.Context, warmup, measure uint64) (*Resul
 		return nil, err
 	}
 	end := s.simNow
-	for _, ch := range s.channels {
-		ch.SyncObs()
+	for _, cs := range s.chans {
+		cs.ctrl.SyncObs()
 	}
 	s.flushTrace()
 
@@ -402,12 +397,12 @@ func (s *System) RunContext(ctx context.Context, warmup, measure uint64) (*Resul
 		}
 		res.Cores = append(res.Cores, cr)
 	}
-	for i, ch := range s.channels {
+	for i, cs := range s.chans {
 		res.Channels = append(res.Channels, ChannelResult{
-			Name:          ch.Name,
-			Kind:          ch.Config().Device.Kind,
+			Name:          cs.ctrl.Name,
+			Kind:          cs.ctrl.Config().Device.Kind,
 			CapacityBytes: s.chanCaps[i],
-			Stats:         ch.Stats(),
+			Stats:         cs.ctrl.Stats(),
 		})
 	}
 	res.computeEnergy(s.cfg, end-start)

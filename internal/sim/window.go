@@ -3,20 +3,20 @@ package sim
 // Windowed execution (DESIGN.md "Windowed execution").
 //
 // The system is partitioned into shards that each own a private event
-// queue: one shard per core (cpu, L1/L2, private TLB state) and one per
-// memory channel (controller + banks). Time advances in fixed windows of
-// windowCycles CPU cycles. Within a window every shard runs alone on its
-// own queue; all cross-shard traffic is staged as timestamped messages and
-// exchanged only at the window boundary, merged in a fixed deterministic
-// order (at, source shard, per-source sequence).
+// queue: one shard per core (cpu, L1/L2, private TLB state), one per
+// memory channel (controller + banks), and the coordinator (migration
+// epochs and copy pacing). Time advances in fixed windows of windowCycles
+// CPU cycles. Within a window the channel shards run first, then the core
+// shards in lockstep, then the coordinator.
 //
-// The window invariant: every core->channel submission traverses a link
-// with a fixed latency of one window, so a message staged at local time t
-// carries effect time t+window >= windowEnd and always lands in a strictly
-// later channel window. Channel->core completions need no added latency
-// because channel shards run their half of window k before core shards
-// do: a fill completed at time t in [T, T+W) is posted into the owning
-// core's queue before that core executes cycle t.
+// Cross-shard traffic is posted straight into the receiving shard's queue.
+// The core->channel link is a delayed event with a fixed latency of one
+// window: a message staged at local time t is delivered at t+window >=
+// windowEnd, so it always lands in a strictly later channel window than
+// the one that already ran. Channel->core completions need no added
+// latency because channel shards run their half of window k before core
+// shards do: a fill completed at time t in [T, T+W) is posted into the
+// owning core's queue before that core executes cycle t.
 
 import (
 	"context"
@@ -39,79 +39,63 @@ const windowCycles = 8
 const chanRetryGap = 8
 
 // linkMsg is one submission crossing from a core (or the migration engine)
-// to a memory channel at a window barrier.
+// to a memory channel.
 type linkMsg struct {
-	at    event.Time // effect time: staging time + one window
-	line  uint64     // global physical line address (migration monitor)
-	local uint64     // channel-local address
+	line  uint64 // global physical line address (migration monitor)
+	local uint64 // channel-local address
 	write bool
 	sink  bool // deliver the completion back to the owning core
 	core  int
 	obj   uint64
 	token uint64
-	src   int    // source shard: core index, len(cores) for migration
-	seq   uint64 // per-source staging order
 }
 
 // shardLink is the cache.Backend a core shard submits misses, writebacks,
-// and (for the migration engine) copy traffic through. It never exerts
-// backpressure: rejection and retry live channel-side, after the message
-// has paid the link latency.
+// and (for the migration engine) copy traffic through. Each submission is
+// posted into its channel's queue one link latency after the submitting
+// queue's current time. The link never exerts backpressure: rejection and
+// retry live channel-side, after the message has paid the link latency.
 type shardLink struct {
-	q      *event.Queue
-	route  *router
-	delay  event.Time
-	src    int
-	seq    uint64
-	staged int         // messages staged since the last barrier merge
-	out    [][]linkMsg // staged messages, per channel
+	q     *event.Queue
+	route *router
+	chans []*chanShard
+	delay event.Time
 }
 
 // Submit implements cache.Backend. The concrete sink is dropped: a
 // completion is routed back to msg.core's hierarchy by the channel shard.
 func (l *shardLink) Submit(lineAddr uint64, write bool, core int, obj uint64, sink mem.DoneSink, token uint64) bool {
 	ch, local := l.route.locate(lineAddr)
-	l.out[ch] = append(l.out[ch], linkMsg{
-		at: l.q.Now() + l.delay, line: lineAddr, local: local,
+	l.chans[ch].post(l.q.Now()+l.delay, linkMsg{
+		line: lineAddr, local: local,
 		write: write, sink: sink != nil, core: core, obj: obj, token: token,
-		src: l.src, seq: l.seq,
 	})
-	l.seq++
-	l.staged++
 	return true
-}
-
-// fillMsg is one completed memory request waiting to be delivered into its
-// core's queue at the next barrier.
-type fillMsg struct {
-	at    event.Time
-	core  int
-	token uint64
 }
 
 // Channel-shard event opcodes.
 const (
-	chopDeliver int32 = iota // i64 = inbox index of the arriving linkMsg
+	chopDeliver int32 = iota // i64 = inbox slot of the arriving linkMsg
 	chopRetry                // retry backpressured submissions
 )
 
 // chanShard owns one memory controller and its private event queue. It
-// applies barrier-merged submissions at their exact effect times, holds
-// rejected ones in an arrival-ordered pending queue with paced retries,
-// and stages completions for the coordinator to post back to core queues.
+// applies link deliveries at their exact arrival times, holds rejected
+// ones in an arrival-ordered pending queue with paced retries, and hands
+// completions to the owning core shard.
 type chanShard struct {
-	idx   int
 	q     *event.Queue
 	ctrl  *mem.Controller
+	route *router
 	cycle event.Time
 
-	inbox      []linkMsg // this window's deliveries, indexed by chopDeliver i64
+	inbox      []linkMsg // in-flight deliveries, indexed by chopDeliver i64
+	free       []int     // inbox slots whose message has been delivered
 	pending    []linkMsg // rejected submissions, retried in arrival order
 	pendHead   int
 	retryArmed bool
 
-	fills []fillMsg      // completions staged for the coordinator
-	sinks []mem.DoneSink // pre-boxed per-core completion sinks
+	sinks []mem.DoneSink // per-core completion sinks: the core shards
 	bp    []uint64       // per-core rejected-submission counts
 
 	// copyDrops counts migration copies abandoned under controller
@@ -122,35 +106,44 @@ type chanShard struct {
 	dropCtr   *obs.Counter
 }
 
-// chanSink stages one core's completions on its channel shard.
-type chanSink struct {
-	cs   *chanShard
-	core int
-}
-
-// MemDone implements mem.DoneSink.
-func (s *chanSink) MemDone(token uint64, at event.Time) {
-	s.cs.fills = append(s.cs.fills, fillMsg{at: at, core: s.core, token: token})
-}
-
-func newChanShard(idx int, ctrlBuild func(q *event.Queue) (*mem.Controller, error), cores int, cycle event.Time) (*chanShard, error) {
-	cs := &chanShard{idx: idx, q: event.NewQueue(), cycle: cycle, bp: make([]uint64, cores)}
+// newChanShard builds a channel shard around the controller ctrlBuild
+// returns. sinks holds one completion sink per core; route supplies the
+// migration monitor's access hook.
+func newChanShard(ctrlBuild func(q *event.Queue) (*mem.Controller, error), route *router, sinks []mem.DoneSink, cycle event.Time) (*chanShard, error) {
+	cs := &chanShard{q: event.NewQueue(), route: route, cycle: cycle, sinks: sinks, bp: make([]uint64, len(sinks))}
 	ctrl, err := ctrlBuild(cs.q)
 	if err != nil {
 		return nil, err
 	}
 	cs.ctrl = ctrl
-	for c := 0; c < cores; c++ {
-		cs.sinks = append(cs.sinks, &chanSink{cs: cs, core: c})
-	}
 	return cs, nil
+}
+
+// post schedules m's delivery at time at, parking it in a free inbox slot
+// until then.
+func (cs *chanShard) post(at event.Time, m linkMsg) {
+	var slot int
+	if n := len(cs.free); n > 0 {
+		slot = cs.free[n-1]
+		cs.free = cs.free[:n-1]
+		cs.inbox[slot] = m
+	} else {
+		slot = len(cs.inbox)
+		cs.inbox = append(cs.inbox, m)
+	}
+	cs.q.Post(at, cs, chopDeliver, int64(slot), nil)
 }
 
 // OnEvent implements event.Handler.
 func (cs *chanShard) OnEvent(now event.Time, op int32, i64 int64, _ any) {
 	switch op {
 	case chopDeliver:
-		cs.deliver(now, cs.inbox[i64])
+		m := cs.inbox[i64]
+		cs.free = append(cs.free, int(i64))
+		if cs.route.onAccess != nil {
+			cs.route.onAccess(m.line)
+		}
+		cs.deliver(now, m)
 	case chopRetry:
 		cs.retryArmed = false
 		cs.drainPending(now)
@@ -244,11 +237,18 @@ func (cs *chanShard) armRetry(now event.Time) {
 
 // Core-shard event opcodes (coreCtx is the handler).
 const (
-	copFill int32 = iota // i64 = token: a barrier-delivered memory completion
+	copFill int32 = iota // i64 = token: a completed memory request
 )
 
-// OnEvent implements event.Handler: barrier-delivered completions enter
-// the hierarchy at their exact completion times.
+// MemDone implements mem.DoneSink for the channel shards: a completion is
+// posted into the core's queue at its completion time. Channels run before
+// cores within a window, so that time is never in the core's past.
+func (c *coreCtx) MemDone(token uint64, at event.Time) {
+	c.q.Post(at, c, copFill, int64(token), nil)
+}
+
+// OnEvent implements event.Handler: completions enter the hierarchy at
+// their exact completion times.
 func (c *coreCtx) OnEvent(now event.Time, op int32, i64 int64, _ any) {
 	if op == copFill {
 		c.hier.MemDone(uint64(i64), now)
@@ -299,22 +299,20 @@ func (s *System) runPhase(ctx context.Context, target uint64, onCross func(*core
 		}
 		windowEnd := s.simNow + s.window
 
-		// Phase A: channel shards run their half of the window.
+		// Channel shards run their half of the window first; their
+		// completions post straight into the core queues.
 		if err := s.runChannelPhase(windowEnd); err != nil {
 			return err
 		}
-		// Phase B: completed requests enter core queues at exact times.
-		s.distributeFills()
-		// Phase C: core shards run the window cycle by cycle.
+		// Core shards run the window cycle by cycle.
 		s.coreWindow(windowEnd, target, onCross)
-		// Phase D: barrier. The coordinator queue (migration epochs and
-		// copy pacing) runs first so its staged traffic joins this merge.
+		// The coordinator queue (migration epochs and copy pacing) runs
+		// last, after every core has finished the window.
 		if we := windowEnd - 1; s.q.QuietUntil(we) {
 			s.q.AdvanceTo(we)
 		} else {
 			s.q.RunUntil(we)
 		}
-		s.mergeCrossings()
 		for _, c := range s.cores {
 			if c.runErr != nil {
 				return c.runErr
@@ -340,7 +338,7 @@ func (s *System) runPhase(ctx context.Context, target uint64, onCross func(*core
 
 // reportProgress invokes the Progress hook with the run's completion so
 // far: the slowest core's clamped per-phase progress plus the credit from
-// completed phases. Runs at a window barrier.
+// completed phases. Runs between two windows.
 func (s *System) reportProgress() {
 	min := s.phaseTarget
 	for _, c := range s.cores {
@@ -363,7 +361,7 @@ func (s *System) reportProgress() {
 
 // ObsSnapshot captures the live metrics registry (nil-safe: empty when
 // metrics are disabled). Safe only from a Config.Progress callback — which
-// runs at a window barrier — or after the run returns; calling it from
+// runs between two windows — or after the run returns; calling it from
 // another goroutine mid-run is a data race.
 func (s *System) ObsSnapshot() *obs.Snapshot {
 	return s.reg.Snapshot()
@@ -388,9 +386,7 @@ func (s *System) runChannelPhase(windowEnd event.Time) error {
 
 // chanWindow runs every channel shard up to the inclusive bound we. One
 // recover covers the whole pass (a panic is attributed to the shard that
-// was running); idle shards — empty queue, an idle controller by
-// construction — are skipped without touching their clocks, which is safe
-// because every post into a channel queue carries an absolute future time.
+// was running); a shard with nothing due by we only has its clock advanced.
 func (s *System) chanWindow(we event.Time) (err error) {
 	cur := -1
 	defer func() {
@@ -417,7 +413,7 @@ func (s *System) chanWindow(we event.Time) (err error) {
 // page faults occur in (cycle, core) order. target is the phase quota and
 // onCross the crossing callback. A panicking core shard is recovered into
 // a keyed error on that core; the remaining cores skip the rest of the
-// window and the run fails at the barrier.
+// window and the run fails when the window ends.
 //
 // With the fast path on, a core may batch ahead of the lockstep cycle t:
 // c.tickAt is its private clock cursor (the next cycle it still has to
@@ -503,7 +499,8 @@ func (s *System) coreWindow(windowEnd event.Time, target uint64, onCross func(*c
 		// not cycle-aligned, so fills can spawn hierarchy events that land
 		// between the last tick (windowEnd-cycle) and the window end. They
 		// belong to this window — running them now keeps every link
-		// submission's staging time inside the window that merges it.
+		// submission's staging time inside this window, so its delivery
+		// lands after the channel window that already ran.
 		cur = i
 		if we := windowEnd - 1; c.q.QuietUntil(we) {
 			c.q.AdvanceTo(we)
@@ -514,7 +511,7 @@ func (s *System) coreWindow(windowEnd event.Time, target uint64, onCross func(*c
 }
 
 // tryBatch retires a run of cycles for core c in one call, starting at
-// cycle t. The batch is bounded by the window barrier and by the core's
+// cycle t. The batch is bounded by the window end and by the core's
 // next queued event (NextTime deliberately ignores virtual events: an
 // inline hit matures by clock comparison, not by an event run). The budget
 // stops the batch on the exact cycle the instruction quota is crossed, so
@@ -553,126 +550,6 @@ func (s *System) tryBatch(c *coreCtx, t, windowEnd event.Time, target uint64, on
 func (c *coreCtx) fail(s *System, i int, err error) {
 	c.runErr = fmt.Errorf("sim: %s core %d (%s): %w", s.cfg.Name, i, c.app.Spec.Name, err)
 	c.dead = true
-}
-
-// distributeFills posts every completion the channel shards staged into
-// the owning cores' queues, merged across channels by (at, channel, seq)
-// so insertion order — and therefore same-timestamp execution order — is
-// deterministic.
-func (s *System) distributeFills() {
-	total := 0
-	for _, cs := range s.chans {
-		total += len(cs.fills)
-	}
-	if total == 0 {
-		return
-	}
-	buf := s.fillScratch[:0]
-	for ci, cs := range s.chans {
-		for _, f := range cs.fills {
-			buf = append(buf, chanFill{fillMsg: f, ch: ci, seq: len(buf)})
-		}
-		cs.fills = cs.fills[:0]
-	}
-	// Insertion sort, like sortLinkMsgs: barrier batches are small and
-	// sort.Slice would allocate a closure every window.
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && chanFillLess(buf[j], buf[j-1]); j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	for _, f := range buf {
-		c := s.cores[f.core]
-		c.q.Post(f.at, c, copFill, int64(f.token), nil)
-	}
-	s.fillScratch = buf[:0]
-}
-
-// chanFill tags a staged fill with its merge key.
-type chanFill struct {
-	fillMsg
-	ch  int
-	seq int
-}
-
-// chanFillLess orders staged fills by (at, channel, staging order).
-func chanFillLess(a, b chanFill) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.ch != b.ch {
-		return a.ch < b.ch
-	}
-	return a.seq < b.seq
-}
-
-// mergeCrossings applies every staged core->channel (and migration)
-// submission to its channel shard in (at, source shard, seq) order: the
-// window-merge contract the fuzz target locks down. The migration
-// monitor's access counter fires here too, in merged order.
-func (s *System) mergeCrossings() {
-	staged := 0
-	for _, l := range s.links {
-		staged += l.staged
-		l.staged = 0
-	}
-	if staged == 0 {
-		return // nothing crossed this window (common during long stalls)
-	}
-	for ci, cs := range s.chans {
-		var m []linkMsg
-		if len(s.links) == 1 {
-			// One source shard: messages were staged in (at, seq) order
-			// already, so the merge copy and sort are identity operations.
-			l := s.links[0]
-			m = l.out[ci]
-			l.out[ci] = l.out[ci][:0]
-		} else {
-			m = mergeWindow(s.linkScratch[:0], s.links, ci)
-			s.linkScratch = m
-		}
-		cs.inbox = cs.inbox[:0]
-		for _, msg := range m {
-			if s.route.onAccess != nil {
-				s.route.onAccess(msg.line)
-			}
-			cs.inbox = append(cs.inbox, msg)
-			cs.q.Post(msg.at, cs, chopDeliver, int64(len(cs.inbox)-1), nil)
-		}
-	}
-}
-
-// mergeWindow collects channel ci's staged messages from every link,
-// clears the stages, and returns them sorted by (at, src, seq). The result
-// is a pure function of the per-link message sets (FuzzWindowMerge).
-func mergeWindow(dst []linkMsg, links []*shardLink, ci int) []linkMsg {
-	for _, l := range links {
-		dst = append(dst, l.out[ci]...)
-		l.out[ci] = l.out[ci][:0]
-	}
-	sortLinkMsgs(dst)
-	return dst
-}
-
-// sortLinkMsgs orders messages by (at, src, seq). Insertion sort: window
-// batches are small (a handful of LLC misses), and this avoids the
-// per-call closure allocation of sort.Slice on a hot barrier path.
-func sortLinkMsgs(m []linkMsg) {
-	for i := 1; i < len(m); i++ {
-		for j := i; j > 0 && linkMsgLess(m[j], m[j-1]); j-- {
-			m[j], m[j-1] = m[j-1], m[j]
-		}
-	}
-}
-
-func linkMsgLess(a, b linkMsg) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
 }
 
 // bpFor sums core's channel-side rejected submissions across channels.

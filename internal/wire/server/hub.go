@@ -41,7 +41,7 @@ func newHub() *hub {
 }
 
 // tick has exp.Runner.OnProgress's shape. It runs on the simulation's
-// flight goroutine at a window barrier, so it must stay cheap: without
+// flight goroutine between two windows, so it must stay cheap: without
 // subscribers it is one mutex round trip, and with them the snapshot and
 // fan-out are rate-limited per key. The terminal tick (done == total)
 // always goes through so subscribers observe completion.

@@ -156,8 +156,8 @@ type Progress struct {
 	Total uint64 `json:"total"`
 }
 
-// Snapshot carries a live obs.Snapshot (JSON) captured at a simulation
-// window barrier.
+// Snapshot carries a live obs.Snapshot (JSON) captured between two
+// simulation windows.
 type Snapshot struct {
 	ID  uint32          `json:"id"`
 	Obs json.RawMessage `json:"obs"`
