@@ -85,12 +85,13 @@ func TestReplayDecodeErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	w, err := trace.NewBlockWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Record far too little for warmup+measure, then corrupt the tail so
-	// the stream ends on a decode error rather than a clean EOF.
+	// Record far too little for warmup+measure, then corrupt the end
+	// frame's item total so the stream ends on a decode error rather than
+	// a clean end of trace.
 	if _, err := trace.Record(w, app.Stream(), 10_000); err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +99,9 @@ func TestReplayDecodeErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	data[len(data)-1] = 200 // unknown opcode in place of the end marker
+	data[len(data)-1] ^= 0x01
 
-	rd, err := trace.NewReader(bytes.NewReader(data))
+	rd, err := trace.NewBlockReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestReplayShortTraceSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	w, err := trace.NewBlockWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestReplayShortTraceSurfaces(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	rd, err := trace.NewBlockReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

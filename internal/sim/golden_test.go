@@ -281,7 +281,7 @@ func TestDeterminismWithReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	w, err := trace.NewBlockWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestDeterminismWithReplay(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	rd, err := trace.NewBlockReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,19 +4,35 @@ import (
 	"bytes"
 	"testing"
 
+	"moca/internal/cpu"
 	"moca/internal/heap"
 	"moca/internal/mem"
 	"moca/internal/trace"
 	"moca/internal/workload"
 )
 
+// sliceStream replays recorded items through Next alone, with no batch or
+// borrow path: the reference the block reader's replay must match.
+type sliceStream struct{ items []cpu.Instr }
+
+func (s *sliceStream) Next() (cpu.Instr, bool) {
+	if len(s.items) == 0 {
+		return cpu.Instr{}, false
+	}
+	in := s.items[0]
+	s.items = s.items[1:]
+	return in, true
+}
+
+func (s *sliceStream) Err() error { return nil }
+
 // TestTraceV2ReplayByteIdentical is the format-parity acceptance test:
-// the same recorded stream replayed through the v1 reader, through the
-// v2 block reader, and through a v2 reader resumed at a mid-trace block
-// boundary (against a v1 reader drained to the same item) must produce
-// byte-identical Result JSON. The v2 path exercises block framing,
-// per-block compression, the batch-refill hot path, and positioned
-// reopen — none of which may perturb simulation output.
+// the recorded items replayed item by item from memory, through the v2
+// block reader, and through a v2 reader resumed at a mid-trace block
+// boundary (against the in-memory items from the same item on) must
+// produce byte-identical Result JSON. The v2 path exercises block
+// framing, the batch-refill hot path, and positioned reopen — none of
+// which may perturb simulation output.
 func TestTraceV2ReplayByteIdentical(t *testing.T) {
 	spec := workload.Tracking()
 	baseProc := ProcSpec{App: spec, Input: workload.Ref}
@@ -52,9 +68,8 @@ func TestTraceV2ReplayByteIdentical(t *testing.T) {
 	}
 	warm := probe.SuggestedWarmup()
 
-	// Record once in v1, then convert to v2 with small blocks so the
-	// corpus spans many frames; the conversion itself is part of what is
-	// under test. Slack covers in-flight fetches past the final quota
+	// Record the generator stream with small blocks so the corpus spans
+	// many frames. Slack covers in-flight fetches past the final quota
 	// crossing.
 	scratch := heap.New(heap.Config{NamingDepth: baseProc.NamingDepth, Classes: baseProc.Classes})
 	app, err := workload.Instantiate(spec.ForInput(workload.Ref), scratch, 0)
@@ -62,51 +77,44 @@ func TestTraceV2ReplayByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := warm + goldenMeasure + 50_000
-	var v1 bytes.Buffer
-	w1, err := trace.NewWriter(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trace.Record(w1, app.Stream(), total); err != nil {
-		t.Fatal(err)
-	}
-	if err := w1.Close(); err != nil {
-		t.Fatal(err)
+	gen := app.Stream()
+	items := make([]cpu.Instr, total)
+	for i := range items {
+		in, ok := gen.Next()
+		if !ok {
+			t.Fatalf("generator ended at item %d", i)
+		}
+		if in.Kind == cpu.Compute && in.N < 1 {
+			in.N = 1 // the trace encoding clamps batches the same way
+		}
+		items[i] = in
 	}
 	var v2 bytes.Buffer
-	src, err := trace.Open(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	w2, err := trace.NewBlockWriterSize(&v2, 2048, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := trace.Copy(w2, src); err != nil || n != total {
-		t.Fatalf("convert: %d items, %v; want %d", n, err, total)
+	if n, err := trace.Record(w2, &sliceStream{items}, total); err != nil || n != total {
+		t.Fatalf("record: %d items, %v; want %d", n, err, total)
 	}
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Whole-trace parity.
-	r1, err := trace.NewReader(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := run(r1, warm)
+	want := run(&sliceStream{items}, warm)
 	r2, err := trace.Open(bytes.NewReader(v2.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := run(r2, warm); !bytes.Equal(got, want) {
-		t.Errorf("v2 replay result JSON diverges from v1:\nv2 %s\nv1 %s", got, want)
+		t.Errorf("v2 replay result JSON diverges from the recorded items:\nv2    %s\nitems %s", got, want)
 	}
 
 	// Resume parity: reopen the v2 trace at the first block boundary past
-	// item 10000 — without decoding the prefix — and compare against a v1
-	// reader drained to the same item. Both see the identical suffix, so
-	// both simulations must serialize identically.
+	// item 10000 — without decoding the prefix — and compare against the
+	// in-memory items from the same item on. Both see the identical
+	// suffix, so both simulations must serialize identically.
 	sc, err := trace.NewBlockScanner(bytes.NewReader(v2.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -125,21 +133,12 @@ func TestTraceV2ReplayByteIdentical(t *testing.T) {
 		t.Fatal("no block boundary past item 10000")
 	}
 
-	rd, err := trace.NewReader(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < pos.Seq; i++ {
-		if _, ok := rd.Next(); !ok {
-			t.Fatalf("v1 trace ends at item %d draining to %d", i, pos.Seq)
-		}
-	}
-	wantResumed := run(rd, warm)
+	wantResumed := run(&sliceStream{items[pos.Seq:]}, warm)
 	br, err := trace.OpenBlockReaderAt(bytes.NewReader(v2.Bytes()), pos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := run(br, warm); !bytes.Equal(got, wantResumed) {
-		t.Errorf("resumed v2 replay (from %+v) diverges from drained v1 replay:\nv2 %s\nv1 %s", pos, got, wantResumed)
+		t.Errorf("resumed v2 replay (from %+v) diverges from the item suffix:\nv2    %s\nitems %s", pos, got, wantResumed)
 	}
 }

@@ -19,10 +19,10 @@ import (
 //	byte    0xB2       block marker
 //	uvarint seq        stream index of the block's first item
 //	uvarint count      items in the block (>= 1)
-//	uvarint rawLen     uncompressed payload bytes
-//	uvarint compLen    stored payload bytes
-//	byte    method     0 = raw, 1 = LZ (lz.go)
-//	u32le   checksum   CRC-32C (Castagnoli) of the uncompressed payload
+//	uvarint rawLen     payload bytes
+//	uvarint compLen    stored payload bytes (== rawLen)
+//	byte    method     0 = raw; other values are reserved for later codecs
+//	u32le   checksum   CRC-32C (Castagnoli) of the payload
 //	[]byte  payload    compLen bytes
 //
 //	byte    0xE2       end marker
@@ -35,6 +35,10 @@ import (
 // shipped individually over the wire. Within a block the item encoding is
 // exactly v1's opcode + varint scheme (minus the end opcode; count bounds
 // the decode).
+//
+// The writer stores every payload raw. Older writers could also store a
+// block LZ-compressed (method 1); such a block fails with ErrCorrupt
+// naming its method, and the trace should be re-recorded.
 const (
 	version2 = 2
 
@@ -42,7 +46,6 @@ const (
 	endMarker   = 0xE2
 
 	methodRaw = 0
-	methodLZ  = 1
 
 	headerLen = len(Magic) + 1
 
@@ -50,6 +53,10 @@ const (
 	// block's worth of buffers, whatever a corrupt header claims.
 	maxBlockItems = 1 << 20
 	maxBlockBytes = 1 << 24
+
+	// maxItemLen is the longest item encoding: an opcode and two 10-byte
+	// varints.
+	maxItemLen = 1 + 2*binary.MaxVarintLen64
 
 	defaultBlockItems = 16 << 10
 	defaultBlockBytes = 256 << 10
@@ -251,8 +258,8 @@ var (
 // BlockWriter
 
 // BlockWriter streams instructions to a v2 block trace. Blocks are cut at
-// an item-count or raw-byte threshold, compressed when compression helps,
-// and written as one Write each; Close appends the end frame.
+// an item-count or byte threshold and written as one Write each; Close
+// appends the end frame.
 type BlockWriter struct {
 	w      io.Writer
 	closed bool
@@ -264,25 +271,25 @@ type BlockWriter struct {
 	itemLimit int
 	byteLimit int
 
-	raw      []byte // open block's uncompressed item encoding
+	raw      []byte // open block's item encoding
 	count    uint64 // items in the open block
 	lastAddr uint64
 	lastObj  uint64
 
 	frame []byte // assembled frame scratch (header + payload)
-	comp  []byte // compression scratch
-	enc   lzEncoder
 }
 
 // NewBlockWriter writes the v2 header and returns a writer with the
-// default block thresholds (16Ki items or 256 KiB raw, whichever first).
+// default block thresholds (16Ki items or 256 KiB, whichever first).
 func NewBlockWriter(w io.Writer) (*BlockWriter, error) {
 	return NewBlockWriterSize(w, 0, 0)
 }
 
 // NewBlockWriterSize is NewBlockWriter with explicit block thresholds
 // (items, rawBytes; zero or negative selects the default). Small blocks
-// seek finer but compress worse.
+// seek finer but spend more bytes on frame headers. Both thresholds are
+// clamped to what a reader accepts: a block is cut while one more item
+// could still fit under maxBlockBytes, so no block ever exceeds it.
 func NewBlockWriterSize(w io.Writer, items, rawBytes int) (*BlockWriter, error) {
 	if items <= 0 {
 		items = defaultBlockItems
@@ -292,6 +299,9 @@ func NewBlockWriterSize(w io.Writer, items, rawBytes int) (*BlockWriter, error) 
 	}
 	if rawBytes <= 0 {
 		rawBytes = defaultBlockBytes
+	}
+	if rawBytes > maxBlockBytes-maxItemLen+1 {
+		rawBytes = maxBlockBytes - maxItemLen + 1
 	}
 	bw := &BlockWriter{w: w, itemLimit: items, byteLimit: rawBytes}
 	if err := bw.writeHeader(); err != nil {
@@ -354,21 +364,15 @@ func (b *BlockWriter) Flush() error {
 	if b.count == 0 {
 		return nil
 	}
-	payload := b.raw
-	method := byte(methodRaw)
-	b.comp = b.enc.compress(b.comp[:0], b.raw)
-	if len(b.comp) < len(b.raw) {
-		payload, method = b.comp, methodLZ
-	}
 	f := b.frame[:0]
 	f = append(f, blockMarker)
 	f = binary.AppendUvarint(f, b.blockSeq)
 	f = binary.AppendUvarint(f, b.count)
 	f = binary.AppendUvarint(f, uint64(len(b.raw)))
-	f = binary.AppendUvarint(f, uint64(len(payload)))
-	f = append(f, method)
+	f = binary.AppendUvarint(f, uint64(len(b.raw)))
+	f = append(f, methodRaw)
 	f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(b.raw, castagnoli))
-	f = append(f, payload...)
+	f = append(f, b.raw...)
 	b.frame = f
 	if _, err := b.w.Write(f); err != nil {
 		return fmt.Errorf("trace: writing block: %w", err)
@@ -468,16 +472,10 @@ func (h blockHdr) validate() error {
 	if h.rawLen == 0 || h.rawLen > maxBlockBytes {
 		return ErrCorrupt
 	}
-	switch h.method {
-	case methodRaw:
-		if h.compLen != h.rawLen {
-			return ErrCorrupt
-		}
-	case methodLZ:
-		if h.compLen == 0 || h.compLen >= h.rawLen {
-			return ErrCorrupt
-		}
-	default:
+	if h.method != methodRaw {
+		return fmt.Errorf("%w: unsupported block method %d (only 0, raw, is defined; re-record the trace)", ErrCorrupt, h.method)
+	}
+	if h.compLen != h.rawLen {
 		return ErrCorrupt
 	}
 	return nil
@@ -545,28 +543,12 @@ func readFileHeader(s *blockSource) (byte, error) {
 // arena. The zero value is ready to use; it is not safe for concurrent
 // use.
 type BlockDecoder struct {
-	raw   []byte
 	arena []cpu.Instr
 }
 
-// decode decompresses, checksums, and decodes one block payload. The
-// returned slice aliases the decoder's arena: valid until the next call.
-func (d *BlockDecoder) decode(h blockHdr, payload []byte) ([]cpu.Instr, error) {
-	data := payload
-	if h.method == methodLZ {
-		if cap(d.raw) < int(h.rawLen) {
-			d.raw = make([]byte, 0, int(h.rawLen))
-		}
-		var err error
-		d.raw, err = lzDecompress(d.raw[:0], payload, int(h.rawLen))
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(d.raw)) != h.rawLen {
-			return nil, ErrCorrupt
-		}
-		data = d.raw
-	}
+// decode checksums and decodes one block payload. The returned slice
+// aliases the decoder's arena: valid until the next call.
+func (d *BlockDecoder) decode(h blockHdr, data []byte) ([]cpu.Instr, error) {
 	if crc32.Checksum(data, castagnoli) != h.crc {
 		return nil, ErrChecksum
 	}
@@ -631,9 +613,9 @@ func (d *BlockDecoder) DecodeFrame(frame []byte, expectSeq uint64) ([]cpu.Instr,
 // trace's block size. It also implements cpu.BatchStream, letting a core
 // pull whole slices per refill instead of one instruction per call.
 type BlockReader struct {
-	src  blockSource
-	dec  BlockDecoder
-	comp []byte // stored-payload buffer
+	src blockSource
+	dec BlockDecoder
+	buf []byte // payload buffer
 
 	arena    []cpu.Instr
 	idx, n   int
@@ -786,10 +768,10 @@ func (b *BlockReader) loadBlock() bool {
 		if h.pos.Seq != b.nextSeq {
 			return b.fail(fmt.Errorf("%w: block at offset %d starts at item %d, expected %d", ErrCorrupt, start, h.pos.Seq, b.nextSeq))
 		}
-		if cap(b.comp) < int(h.compLen) {
-			b.comp = make([]byte, int(h.compLen))
+		if cap(b.buf) < int(h.compLen) {
+			b.buf = make([]byte, int(h.compLen))
 		}
-		payload := b.comp[:h.compLen]
+		payload := b.buf[:h.compLen]
 		if err := b.src.readFull(payload); err != nil {
 			return b.fail(fmt.Errorf("%w: block at offset %d: truncated payload: %v", ErrCorrupt, start, err))
 		}
@@ -810,7 +792,7 @@ func (b *BlockReader) loadBlock() bool {
 
 // SkipTo advances the reader (forward only) so the next item returned is
 // stream item seq. Whole blocks before the target are skipped by header,
-// without decompressing or decoding their payloads. Seeking to the exact
+// without checksumming or decoding their payloads. Seeking to the exact
 // end of the trace is valid and leaves the reader cleanly exhausted;
 // anything past it, or behind items already consumed, is ErrBadPosition.
 func (b *BlockReader) SkipTo(seq uint64) error {
@@ -847,8 +829,12 @@ func (b *BlockReader) SkipTo(seq uint64) error {
 			b.done = true
 		case blockMarker:
 			h, err := b.src.readHdr(start)
-			if err != nil || h.pos.Seq != b.nextSeq {
-				b.fail(fmt.Errorf("%w: block at offset %d", ErrCorrupt, start))
+			if err != nil {
+				b.fail(fmt.Errorf("%w: block at offset %d", err, start))
+				return b.err
+			}
+			if h.pos.Seq != b.nextSeq {
+				b.fail(fmt.Errorf("%w: block at offset %d starts at item %d, expected %d", ErrCorrupt, start, h.pos.Seq, b.nextSeq))
 				return b.err
 			}
 			if seq >= h.pos.Seq+h.count {
@@ -860,10 +846,10 @@ func (b *BlockReader) SkipTo(seq uint64) error {
 				b.nextSeq = h.pos.Seq + h.count
 				continue
 			}
-			if cap(b.comp) < int(h.compLen) {
-				b.comp = make([]byte, int(h.compLen))
+			if cap(b.buf) < int(h.compLen) {
+				b.buf = make([]byte, int(h.compLen))
 			}
-			payload := b.comp[:h.compLen]
+			payload := b.buf[:h.compLen]
 			if err := b.src.readFull(payload); err != nil {
 				b.fail(fmt.Errorf("%w: block at offset %d: truncated payload: %v", ErrCorrupt, start, err))
 				return b.err
@@ -928,12 +914,10 @@ func OpenBlockReaderAt(rs io.ReadSeeker, pos Position) (*BlockReader, error) {
 
 // BlockInfo describes one scanned block frame.
 type BlockInfo struct {
-	Pos     Position
-	Count   uint64
-	RawLen  uint64
-	CompLen uint64
-	Method  byte
-	CRC     uint32
+	Pos    Position
+	Count  uint64
+	RawLen uint64
+	CRC    uint32
 }
 
 // BlockScanner iterates a v2 trace block by block without decoding
@@ -1035,7 +1019,7 @@ func (s *BlockScanner) Scan() bool {
 			return false
 		}
 		s.frame = s.frame[:need]
-		s.info = BlockInfo{Pos: h.pos, Count: h.count, RawLen: h.rawLen, CompLen: h.compLen, Method: h.method, CRC: h.crc}
+		s.info = BlockInfo{Pos: h.pos, Count: h.count, RawLen: h.rawLen, CRC: h.crc}
 		s.nextSeq = h.pos.Seq + h.count
 		return true
 	default:
@@ -1101,12 +1085,12 @@ func Open(r io.Reader) (ReplayStream, error) {
 	}
 }
 
-// Copy drains src into dst, converting between trace versions (or
-// re-framing a v2 trace with different block thresholds). It stops at
-// stream end and returns the number of items copied; the caller closes
-// dst. When src is a ReplayStream, a decode error surfaces as Copy's
-// error rather than a silent short copy.
-func Copy(dst Appender, src cpu.Stream) (uint64, error) {
+// Copy drains src into dst: it upgrades a v1 trace to v2, or re-frames a
+// v2 trace with different block thresholds. It stops at stream end and
+// returns the number of items copied; the caller closes dst. When src is
+// a ReplayStream, a decode error surfaces as Copy's error rather than a
+// silent short copy.
+func Copy(dst *BlockWriter, src cpu.Stream) (uint64, error) {
 	var n uint64
 	for {
 		in, ok := src.Next()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"moca/internal/cpu"
@@ -115,13 +116,7 @@ func TestBlockRoundTrip(t *testing.T) {
 	} else if _, ok := s.(*BlockReader); !ok {
 		t.Fatalf("Open(v2) returned %T, want *BlockReader", s)
 	}
-	var v1 bytes.Buffer
-	w1, _ := NewWriter(&v1)
-	for _, in := range items[:100] {
-		w1.Append(in)
-	}
-	w1.Close()
-	if s, err := Open(bytes.NewReader(v1.Bytes())); err != nil {
+	if s, err := Open(bytes.NewReader(encodeV1(items[:100]))); err != nil {
 		t.Fatalf("Open(v1): %v", err)
 	} else if _, ok := s.(*Reader); !ok {
 		t.Fatalf("Open(v1) returned %T, want *Reader", s)
@@ -234,7 +229,7 @@ func TestOpenBlockReaderAt(t *testing.T) {
 }
 
 // corruptCRC flips a bit of blockIdx's stored checksum, returning the
-// damaged copy — guaranteed ErrChecksum regardless of compression method.
+// damaged copy — guaranteed ErrChecksum whatever the payload.
 func corruptCRC(t *testing.T, data []byte, blockIdx int) []byte {
 	t.Helper()
 	sc, err := NewBlockScanner(bytes.NewReader(data))
@@ -248,7 +243,7 @@ func corruptCRC(t *testing.T, data []byte, blockIdx int) []byte {
 		if i == blockIdx {
 			info := sc.Info()
 			frameLen := uint64(len(sc.Frame()))
-			crcOff := info.Pos.ByteOff + frameLen - info.CompLen - 4
+			crcOff := info.Pos.ByteOff + frameLen - info.RawLen - 4
 			out := append([]byte(nil), data...)
 			out[crcOff] ^= 0x01
 			return out
@@ -371,82 +366,108 @@ func TestBlockWriterReaderReset(t *testing.T) {
 	sameItems(t, drain(t, r), first, "reader Reset replay")
 }
 
-// TestV1V2V1RoundTrip is the conversion property: v1 → v2 → v1 must
-// reproduce the original v1 file byte for byte (the v1 encoding is a pure
-// function of the instruction sequence), and every representation decodes
-// to the identical instruction stream.
-func TestV1V2V1RoundTrip(t *testing.T) {
+// TestV1ToV2Parity is the upgrade property: a v1 trace copied to v2
+// decodes to the identical instruction stream through either reader, and
+// both match the items the v1 file was encoded from.
+func TestV1ToV2Parity(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		items := genItems(3000, 100+seed)
-		var v1 bytes.Buffer
-		w1, _ := NewWriter(&v1)
-		for _, in := range items {
-			// Normalize like the writer does: Compute N clamps to >= 1.
-			if err := w1.Append(in); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w1.Close()
+		v1 := encodeV1(items)
 
-		// v1 → v2
 		var v2 bytes.Buffer
-		r1, _ := NewReader(bytes.NewReader(v1.Bytes()))
+		r1, _ := NewReader(bytes.NewReader(v1))
 		w2, _ := NewBlockWriterSize(&v2, 700, 0)
 		if n, err := Copy(w2, r1); err != nil || n != uint64(len(items)) {
 			t.Fatalf("v1→v2 copy: n=%d err=%v", n, err)
 		}
-		w2.Close()
-
-		// v2 → v1 again
-		var v1b bytes.Buffer
-		r2, _ := NewBlockReader(bytes.NewReader(v2.Bytes()))
-		w1b, _ := NewWriter(&v1b)
-		if n, err := Copy(w1b, r2); err != nil || n != uint64(len(items)) {
-			t.Fatalf("v2→v1 copy: n=%d err=%v", n, err)
+		if err := w2.Close(); err != nil {
+			t.Fatal(err)
 		}
-		w1b.Close()
 
-		if !bytes.Equal(v1.Bytes(), v1b.Bytes()) {
-			t.Fatalf("seed %d: v1→v2→v1 is not byte-identical (%d vs %d bytes)",
-				seed, v1.Len(), v1b.Len())
+		r1, _ = NewReader(bytes.NewReader(v1))
+		fromV1 := drain(t, r1)
+		if err := r1.Err(); err != nil {
+			t.Fatalf("seed %d: v1 decode: %v", seed, err)
 		}
 		rd, _ := NewBlockReader(bytes.NewReader(v2.Bytes()))
-		sameItems(t, drain(t, rd), items, "v2 decode of converted trace")
+		fromV2 := drain(t, rd)
+		if err := rd.Err(); err != nil {
+			t.Fatalf("seed %d: v2 decode: %v", seed, err)
+		}
+		sameItems(t, fromV1, items, "v1 decode")
+		sameItems(t, fromV2, fromV1, "v2 decode of the converted trace")
 	}
 }
 
-func TestLZRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var enc lzEncoder
-	cases := [][]byte{
-		nil,
-		[]byte("a"),
-		bytes.Repeat([]byte("ab"), 4000),
-		bytes.Repeat([]byte{0}, 100_000),
-		[]byte("abcdabcdabcdxyzxyzxyzxyz0123456789"),
+// TestBlockWriterByteCap: items near the maximum encoded length must not
+// push a block past maxBlockBytes, whatever thresholds the writer was
+// given, or the reader rejects the writer's own output.
+func TestBlockWriterByteCap(t *testing.T) {
+	const n = maxBlockItems
+	var buf bytes.Buffer
+	w, err := NewBlockWriterSize(&buf, n, 1<<30)
+	if err != nil {
+		t.Fatal(err)
 	}
-	random := make([]byte, 10_000)
-	rng.Read(random)
-	cases = append(cases, random)
-	seqlike := make([]byte, 0, 60_000)
-	for i := 0; i < 6000; i++ {
-		seqlike = append(seqlike, byte(opLoad), 0x80, byte(i%7), 0x02)
+	for i := 0; i < n; i++ {
+		v := uint64(i&1) << 62 // each delta is a 9- or 10-byte varint
+		if err := w.Append(cpu.Instr{Kind: cpu.Load, VAddr: v, Obj: v}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cases = append(cases, seqlike)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewBlockReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got int
+	for {
+		in, ok := r.Next()
+		if !ok {
+			break
+		}
+		if want := uint64(got&1) << 62; in.VAddr != want || in.Obj != want {
+			t.Fatalf("item %d = %+v, want VAddr=Obj=%#x", got, in, want)
+		}
+		got++
+	}
+	if err := r.Err(); err != nil {
+		t.Fatalf("reader rejects the writer's output after %d items: %v", got, err)
+	}
+	if got != n {
+		t.Fatalf("decoded %d items, want %d", got, n)
+	}
+}
 
-	for i, src := range cases {
-		comp := enc.compress(nil, src)
-		out, err := lzDecompress(make([]byte, 0, len(src)), comp, len(src))
-		if err != nil {
-			t.Fatalf("case %d: decompress: %v", i, err)
-		}
-		if !bytes.Equal(out, src) {
-			t.Fatalf("case %d: round trip mismatch (%d bytes in, %d out)", i, len(src), len(out))
-		}
+// TestBlockMethodReserved: a block stored with any method but raw fails
+// with ErrCorrupt, and the error names the method byte.
+func TestBlockMethodReserved(t *testing.T) {
+	data := writeV2(t, genItems(100, 9), 0)
+	sc, _ := NewBlockScanner(bytes.NewReader(data))
+	if !sc.Scan() {
+		t.Fatal(sc.Err())
 	}
-	// Compressible input must actually shrink.
-	comp := enc.compress(nil, seqlike)
-	if len(comp) >= len(seqlike)/2 {
-		t.Fatalf("repetitive input compressed to %d/%d bytes", len(comp), len(seqlike))
+	frame := append([]byte(nil), sc.Frame()...)
+	methodOff := len(frame) - int(sc.Info().RawLen) - 5
+	frame[methodOff] = 1 // the LZ method older writers emitted
+	damaged := append([]byte(nil), data...)
+	copy(damaged[sc.Info().Pos.ByteOff:], frame)
+
+	r, _ := NewBlockReader(bytes.NewReader(damaged))
+	if got := drain(t, r); len(got) != 0 {
+		t.Fatalf("decoded %d items from a method-1 block", len(got))
+	}
+	if err := r.Err(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "method 1") {
+		t.Fatalf("Err = %v, want ErrCorrupt naming method 1", err)
+	}
+	r2, _ := NewBlockReader(bytes.NewReader(damaged))
+	if err := r2.SkipTo(50); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "method 1") {
+		t.Fatalf("SkipTo: %v, want ErrCorrupt naming method 1", err)
+	}
+	var dec BlockDecoder
+	if _, err := dec.DecodeFrame(frame, 0); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "method 1") {
+		t.Fatalf("DecodeFrame: %v, want ErrCorrupt naming method 1", err)
 	}
 }

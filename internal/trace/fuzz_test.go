@@ -19,24 +19,14 @@ func fuzzSeedTrace(version int) []byte {
 		{Kind: cpu.Store, VAddr: 0x1000_0000_0080, Obj: 5},
 		{Kind: cpu.Compute, N: 3},
 	}
-	var buf bytes.Buffer
-	var w interface {
-		Append(in cpu.Instr) error
-		Close() error
-	}
 	if version == 1 {
-		w1, err := NewWriter(&buf)
-		if err != nil {
-			panic(err)
-		}
-		w = w1
-	} else {
-		// Two items per block so the seed spans several block frames.
-		w2, err := NewBlockWriterSize(&buf, 2, 0)
-		if err != nil {
-			panic(err)
-		}
-		w = w2
+		return encodeV1(items)
+	}
+	// Two items per block so the seed spans several block frames.
+	var buf bytes.Buffer
+	w, err := NewBlockWriterSize(&buf, 2, 0)
+	if err != nil {
+		panic(err)
 	}
 	for _, in := range items {
 		if err := w.Append(in); err != nil {

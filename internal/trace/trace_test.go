@@ -10,26 +10,30 @@ import (
 	"moca/internal/workload"
 )
 
-func roundTrip(t *testing.T, ins []cpu.Instr) []cpu.Instr {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range ins {
-		if err := w.Append(in); err != nil {
-			t.Fatal(err)
+// encodeV1 returns the v1 file encoding of items: the header, one
+// opcode+varint record per item with the delta state running across the
+// whole file, and the end opcode. The package only reads v1; tests build
+// their v1 inputs here.
+func encodeV1(items []cpu.Instr) []byte {
+	out := append([]byte(Magic), version)
+	var lastAddr, lastObj uint64
+	for _, in := range items {
+		var err error
+		if out, err = appendItem(out, in, &lastAddr, &lastObj); err != nil {
+			panic(err)
 		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
+	return append(out, opEnd)
+}
+
+// decodeBoth replays items through the v1 reader and through a v2 block
+// round trip with small blocks. It returns the v1 decode and whether the
+// v2 decode yielded the identical items.
+func decodeBoth(ins []cpu.Instr) (out []cpu.Instr, same bool, err error) {
+	r, err := NewReader(bytes.NewReader(encodeV1(ins)))
 	if err != nil {
-		t.Fatal(err)
+		return nil, false, err
 	}
-	var out []cpu.Instr
 	for {
 		in, ok := r.Next()
 		if !ok {
@@ -37,8 +41,49 @@ func roundTrip(t *testing.T, ins []cpu.Instr) []cpu.Instr {
 		}
 		out = append(out, in)
 	}
-	if r.Err() != nil {
-		t.Fatal(r.Err())
+	if err := r.Err(); err != nil {
+		return nil, false, err
+	}
+	var buf bytes.Buffer
+	w, err := NewBlockWriterSize(&buf, 5, 0)
+	if err != nil {
+		return nil, false, err
+	}
+	for _, in := range ins {
+		if err := w.Append(in); err != nil {
+			return nil, false, err
+		}
+	}
+	if err := w.Close(); err != nil {
+		return nil, false, err
+	}
+	br, err := NewBlockReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		return nil, false, err
+	}
+	same = true
+	for i := 0; ; i++ {
+		in, ok := br.Next()
+		if !ok {
+			same = same && i == len(out)
+			break
+		}
+		same = same && i < len(out) && in == out[i]
+	}
+	if err := br.Err(); err != nil {
+		return nil, false, err
+	}
+	return out, same, nil
+}
+
+func roundTrip(t *testing.T, ins []cpu.Instr) []cpu.Instr {
+	t.Helper()
+	out, same, err := decodeBoth(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same {
+		t.Fatal("v1 and v2 decodes of the same items differ")
 	}
 	return out
 }
@@ -74,7 +119,7 @@ func TestRecordFromWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	w, _ := NewBlockWriter(&buf)
 	n, err := Record(w, app.Stream(), 20_000)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +142,7 @@ func TestRecordFromWorkload(t *testing.T) {
 	a2 := heap.New(heap.Config{})
 	app2, _ := workload.Instantiate(workload.GCC(), a2, 0)
 	fresh := app2.Stream()
-	r, err := NewReader(&buf)
+	r, err := NewBlockReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +161,9 @@ func TestRecordFromWorkload(t *testing.T) {
 	}
 	if _, ok := r.Next(); ok {
 		t.Error("trace longer than recorded")
+	}
+	if err := r.Err(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -145,11 +193,8 @@ func TestReaderRejectsGarbage(t *testing.T) {
 }
 
 func TestTruncatedTraceStopsCleanly(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Append(cpu.Instr{Kind: cpu.Load, VAddr: 0x40, Obj: 1})
-	w.Close()
-	data := buf.Bytes()[:buf.Len()-2] // drop the end marker and a byte
+	data := encodeV1([]cpu.Instr{{Kind: cpu.Load, VAddr: 0x40, Obj: 1}})
+	data = data[:len(data)-2] // drop the end marker and a byte
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +213,7 @@ func TestTruncatedTraceStopsCleanly(t *testing.T) {
 
 func TestAppendAfterClose(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	w, _ := NewBlockWriter(&buf)
 	w.Close()
 	if err := w.Append(cpu.Instr{Kind: cpu.Compute, N: 1}); err == nil {
 		t.Error("append after close accepted")
@@ -176,13 +221,11 @@ func TestAppendAfterClose(t *testing.T) {
 }
 
 func TestLoopRestartsStream(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	var ins []cpu.Instr
 	for i := 0; i < 5; i++ {
-		w.Append(cpu.Instr{Kind: cpu.Load, VAddr: uint64(i) * 64, Obj: 1})
+		ins = append(ins, cpu.Instr{Kind: cpu.Load, VAddr: uint64(i) * 64, Obj: 1})
 	}
-	w.Close()
-	data := buf.Bytes()
+	data := encodeV1(ins)
 
 	loop := NewLoop(func() (cpu.Stream, error) {
 		return NewReader(bytes.NewReader(data))
@@ -205,13 +248,11 @@ func TestLoopRestartsStream(t *testing.T) {
 // TestLoopStopsOnDecodeError: a corrupt trace must terminate the loop
 // with its decode error, not replay the valid prefix forever.
 func TestLoopStopsOnDecodeError(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	var ins []cpu.Instr
 	for i := 0; i < 3; i++ {
-		w.Append(cpu.Instr{Kind: cpu.Load, VAddr: uint64(i) * 64, Obj: 1})
+		ins = append(ins, cpu.Instr{Kind: cpu.Load, VAddr: uint64(i) * 64, Obj: 1})
 	}
-	w.Close()
-	data := buf.Bytes()
+	data := encodeV1(ins)
 	// Corrupt the end marker into an unknown opcode: the valid prefix
 	// still decodes, then the stream errors instead of ending cleanly.
 	data[len(data)-1] = 200
@@ -249,12 +290,11 @@ func TestLoopStopsOnDecodeError(t *testing.T) {
 // TestLoopStopsOnTruncation: a trace cut off mid-record terminates the
 // loop with an error rather than restarting.
 func TestLoopStopsOnTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Append(cpu.Instr{Kind: cpu.Load, VAddr: 0x1234_5678, Obj: 7})
-	w.Append(cpu.Instr{Kind: cpu.Load, VAddr: 0x9abc_def0, Obj: 9})
-	w.Close()
-	data := buf.Bytes()[:buf.Len()-3] // cut into the last record's varints
+	data := encodeV1([]cpu.Instr{
+		{Kind: cpu.Load, VAddr: 0x1234_5678, Obj: 7},
+		{Kind: cpu.Load, VAddr: 0x9abc_def0, Obj: 9},
+	})
+	data = data[:len(data)-3] // cut into the last record's varints
 
 	loop := NewLoop(func() (cpu.Stream, error) {
 		return NewReader(bytes.NewReader(data))
@@ -286,7 +326,8 @@ func TestLoopReportsOpenError(t *testing.T) {
 	}
 }
 
-// Property: arbitrary instruction sequences survive the round trip.
+// Property: arbitrary instruction sequences survive the round trip in
+// both formats.
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(raw []uint32) bool {
 		var ins []cpu.Instr
@@ -307,31 +348,16 @@ func TestPropertyRoundTrip(t *testing.T) {
 				lastWasLoad = false
 			}
 		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
+		out, same, err := decodeBoth(ins)
+		if err != nil || !same || len(out) != len(ins) {
 			return false
 		}
-		for _, in := range ins {
-			if w.Append(in) != nil {
+		for i, want := range ins {
+			if out[i] != want {
 				return false
 			}
 		}
-		if w.Close() != nil {
-			return false
-		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		for _, want := range ins {
-			got, ok := r.Next()
-			if !ok || got != want {
-				return false
-			}
-		}
-		_, ok := r.Next()
-		return !ok && r.Err() == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
